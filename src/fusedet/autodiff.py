@@ -13,13 +13,14 @@ order) is bit-identical.
 """
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Callable, Mapping
 from typing import Iterator
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import ParseError, PreconditionError, ShapeError
 
 Array = np.ndarray
 VJP = Callable[[Array], Array]
@@ -274,22 +275,27 @@ class ParamStore:
             blob = fh.read()
         if blob[:4] != _PSTORE_MAGIC:
             raise PreconditionError(f"bad parameter-store magic in {path}")
-        seed, count = struct.unpack_from("<qI", blob, 4)
+        off = 4
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal off
+            if off + n > len(blob):
+                raise ParseError(f"{path}: truncated at {len(blob)} bytes, reading {what}")
+            off += n
+            return blob[off - n : off]
+
+        seed, count = struct.unpack("<qI", take(12, "the header"))
         store = cls(seed)
-        off = 16
         for _ in range(count):
-            (klen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            key = blob[off : off + klen].decode("utf-8")
-            off += klen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-            off += 8 * n
-            store.add(key, data.astype(np.float64))
+            (klen,) = struct.unpack("<H", take(2, "a key length"))
+            try:
+                key = take(klen, "a key").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: parameter key is not UTF-8") from exc
+            (ndim,) = struct.unpack("<B", take(1, f"the rank of {key}"))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {key}"))
+            data = np.frombuffer(take(8 * math.prod(shape), f"the values of {key}"), dtype="<f8")
+            store.add(key, data.reshape(shape).astype(np.float64))
         if off != len(blob):
             raise PreconditionError(f"trailing bytes in parameter store {path}")
         return store

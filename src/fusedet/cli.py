@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluation import average_precision, nap50, read_detections, read_ground_truths, write_detections
-from .model import ModelConfig
+from .model import ModelConfig, init_params
 from .neighborhood import NAConfig, init_na_params, na_forward
 from .prototypes import (
     PrototypeSet,
@@ -97,6 +97,21 @@ def _fusion_store(seed: int, fusion: FusionConfig) -> ParamStore:
     return store
 
 
+def _load_params(path, want: ParamStore) -> ParamStore:
+    """The parameter store at `path`, checked to hold every key of `want`
+    at the same shape."""
+    store = ParamStore.load(path)
+    problems = [f"missing {k}" for k in want.keys() if k not in store]
+    problems += [
+        f"{k} has shape {store.array(k).shape}, the model wants {want.array(k).shape}"
+        for k in want.keys()
+        if k in store and store.array(k).shape != want.array(k).shape
+    ]
+    if problems:
+        raise PreconditionError(f"{path} does not fit the model: {'; '.join(problems)}")
+    return store
+
+
 def cmd_fuse(args) -> int:
     model, train, synth, split = _resolve(args)
     _echo(model, train, synth, split)
@@ -108,10 +123,9 @@ def cmd_fuse(args) -> int:
         na=NAConfig(k=model.na_k, channels=rgb.shape[0]),
         cda=CDAConfig(r=model.r, s=model.s, k_off=model.k_off, channels=rgb.shape[0]),
     )
+    store = _fusion_store(args.seed if args.seed is not None else 0, fusion)
     if args.params:
-        store = ParamStore.load(args.params)
-    else:
-        store = _fusion_store(args.seed if args.seed is not None else 0, fusion)
+        store = _load_params(args.params, store)
     out = fuse(rgb, ir, args.mode, store.nodes(), fusion_cfg=fusion)
     fmp.write_map(args.out, out.value)
     print(f"shape={out.value.shape} checksum={_checksum(args.out)}")
@@ -151,12 +165,12 @@ def cmd_infer(args) -> int:
     model, train, synth, split = _resolve(args)
     _echo(model, train, synth, split)
     index = load_index(args.data)
-    store = ParamStore.load(args.params)
-    protos = load_prototypes(args.protos)
     ids = args.ids.split(",") if args.ids else index.image_ids()
     missing = [i for i in ids if i not in index.entries]
     if missing:
         raise PreconditionError(f"image ids not in index: {missing}")
+    store = _load_params(args.params, init_params(model))
+    protos = load_prototypes(args.protos)
     dets = detect_over(index, ids, protos, model, store.nodes())
     write_detections(args.out, dets)
     print(f"wrote {len(dets)} detections for {len(ids)} images to {args.out}")
@@ -311,7 +325,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NumericGuardError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ShapeError, PreconditionError, NotImplementedError) as exc:
+    except (ParseError, ShapeError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -147,7 +147,7 @@ def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, 
     return f_res + ops.conv1x1(hidden, params[f"{prefix}.ffn_w2"], params[f"{prefix}.ffn_b2"])
 
 
-FUSE_MODES = ("cda", "concat", "add", "cmi-stub")
+FUSE_MODES = ("cda", "concat", "add")
 
 
 def fuse(f_a, f_b, mode: str, params: dict[str, Node], fusion_cfg: FusionConfig | None = None) -> Node:
@@ -155,7 +155,7 @@ def fuse(f_a, f_b, mode: str, params: dict[str, Node], fusion_cfg: FusionConfig 
 
     concat: pointwise conv over the channel-stacked pair.  add: plain sum.
     cda: the full two-stage pipeline, treating f_a as the color map and
-    f_b as the thermal map.  cmi-stub: reserved, always errors.
+    f_b as the thermal map.
     """
     f_a, f_b = as_node(f_a), as_node(f_b)
     if f_a.value.shape != f_b.value.shape:
@@ -168,8 +168,6 @@ def fuse(f_a, f_b, mode: str, params: dict[str, Node], fusion_cfg: FusionConfig 
         if fusion_cfg is None:
             raise PreconditionError("cda fusion needs a FusionConfig")
         return fusion_forward(f_a, f_b, fusion_cfg, params)
-    if mode == "cmi-stub":
-        raise NotImplementedError("common-modality interaction is not implemented")
     raise PreconditionError(f"unknown fusion mode {mode!r}; expected one of {FUSE_MODES}")
 
 

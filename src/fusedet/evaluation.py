@@ -13,7 +13,9 @@ import numpy as np
 from .errors import FusedetError, ParseError, PreconditionError
 
 
-@dataclass(frozen=True)
+# Slots: dense inference decodes thousands of boxes and detections per
+# image, and without instance dicts each takes about a quarter less memory.
+@dataclass(frozen=True, slots=True)
 class Box:
     x1: float
     y1: float
@@ -29,7 +31,7 @@ class Box:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     box: Box
     score: float
@@ -41,7 +43,7 @@ class Detection:
             raise PreconditionError(f"non-finite score {self.score}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     box: Box
     class_id: int
@@ -57,30 +59,53 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """IoU of one (x1, y1, x2, y2) box with each row of an (n, 4) array.
+
+    The operations follow `iou` step for step, so each entry equals
+    `iou` of the same two boxes bit for bit.
+    """
+    ix = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
+    iy = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+    area = (box[2] - box[0]) * (box[3] - box[1])
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    return inter / (area + areas - inter)
+
+
+def box_array(boxes: list[Box]) -> np.ndarray:
+    """Boxes as an (n, 4) array of x1, y1, x2, y2 rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).reshape(-1, 4)
+
+
 def match(dets: list[Detection], gts: list[GroundTruth], thr: float) -> list[bool]:
     """TP/FP flag per detection, in input order.
 
     Detections are processed by descending score (ties keep input order);
-    each claims the unmatched ground truth in its image with the highest
-    IoU at or above the threshold.
+    each claims the unmatched ground truth of its image and class with the
+    highest IoU at or above the threshold, the first such on a tie.
     """
     if not 0 < thr < 1:
         raise PreconditionError(f"threshold {thr} outside (0, 1)")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = [False] * len(gts)
+    gt_groups: dict[tuple[str, int], list[int]] = {}
+    for j, gt in enumerate(gts):
+        gt_groups.setdefault((gt.image_id, gt.class_id), []).append(j)
+    det_groups: dict[tuple[str, int], list[int]] = {}
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        det_groups.setdefault((dets[i].image_id, dets[i].class_id), []).append(i)
+    det_boxes = box_array([d.box for d in dets])
     flags = [False] * len(dets)
-    for i in order:
-        det = dets[i]
-        best, best_iou = -1, 0.0
-        for j, gt in enumerate(gts):
-            if taken[j] or gt.image_id != det.image_id or gt.class_id != det.class_id:
-                continue
-            v = iou(det.box, gt.box)
-            if v >= thr and v > best_iou:
-                best, best_iou = j, v
-        if best >= 0:
-            taken[best] = True
-            flags[i] = True
+    for key, det_ids in det_groups.items():
+        gt_boxes = box_array([gts[j].box for j in gt_groups.get(key, [])])
+        free = np.ones(len(gt_boxes), dtype=bool)
+        for i in det_ids:
+            if not free.any():
+                break
+            row = np.where(free, iou_row(det_boxes[i], gt_boxes), -1.0)
+            best = int(np.argmax(row))
+            if row[best] >= thr:
+                free[best] = False
+                flags[i] = True
     return flags
 
 

@@ -6,7 +6,8 @@ Layout, all little-endian:
     bytes 4..15   three u32: D, H, W
     bytes 16..    D*H*W float64, row-major (channel, row, col)
 
-Readers reject a wrong magic, a truncated payload, and trailing bytes.
+Readers reject a wrong magic, a truncated payload, trailing bytes, and
+non-finite values.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import NumericGuardError, ParseError, ShapeError
 
 MAGIC = b"FMP1"
 _HEADER = struct.Struct("<4sIII")
@@ -44,4 +45,7 @@ def read_map(path) -> np.ndarray:
     if len(raw) > expected:
         raise ParseError(f"{path}: {len(raw) - expected} trailing bytes")
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        raise NumericGuardError(f"{path}: {int(bad.sum())} non-finite values")
     return data.reshape(d, h, w).astype(np.float64)

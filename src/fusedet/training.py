@@ -17,7 +17,7 @@ from . import ops
 from .autodiff import Node, ParamStore, as_node, backward
 from .data import DatasetIndex, Episode, SplitSpec, SupportSet, build_supports, sample_episode
 from .errors import DivergenceError, PreconditionError
-from .evaluation import Box, Detection, GroundTruth, iou
+from .evaluation import Box, Detection, GroundTruth, box_array, iou_row
 from .model import ModelConfig, init_params, query_features
 from .prototypes import PrototypeSet, SupportBox, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
 from .synth import SynthConfig, generate_synthetic
@@ -160,17 +160,28 @@ def train_loss(
 
 
 def nms(dets: list[Detection], thr: float = 0.5) -> list[Detection]:
-    """Greedy same-class suppression within each image at the IoU threshold."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    kept: list[Detection] = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.class_id != d.class_id or k.image_id != d.image_id or iou(k.box, d.box) < thr
-            for k in kept
-        ):
-            kept.append(d)
-    return kept
+    """Greedy same-class suppression within each image at the IoU threshold.
+
+    Candidates are ranked by descending score, ties in input order.  Each
+    (class, image) group is walked in rank order; a kept box drops every
+    later box of its group whose IoU with it is at least `thr`.  The kept
+    detections come back in rank order.
+    """
+    if not dets:
+        return []
+    scores = np.array([d.score for d in dets])
+    boxes = box_array([d.box for d in dets])
+    group_ids: dict[tuple[int, str], int] = {}
+    group = np.array([group_ids.setdefault((d.class_id, d.image_id), len(group_ids)) for d in dets])
+    rank = np.argsort(-scores, kind="stable")
+    by_group = rank[np.argsort(group[rank], kind="stable")]  # each group's candidates, in rank order
+    keep = np.zeros(len(dets), dtype=bool)
+    for rest in np.split(by_group, np.cumsum(np.bincount(group))[:-1]):
+        while rest.size:
+            top, rest = rest[0], rest[1:]
+            keep[top] = True
+            rest = rest[iou_row(boxes[top], boxes[rest]) < thr]
+    return [dets[i] for i in rank[keep[rank]]]
 
 
 def toy_head(
@@ -180,7 +191,8 @@ def toy_head(
     cfg: ModelConfig,
     image_id: str,
 ) -> list[Detection]:
-    """Decode per-location scores and boxes into thresholded detections."""
+    """Decode per-location scores and boxes into thresholded detections,
+    in row-major (cell, slot) order, then suppress overlaps."""
     d, h, w = f_cam.shape
     flat = f_cam.transpose(1, 2, 0).reshape(h * w, d)
     fhat = flat / np.sqrt((flat * flat).sum(axis=1, keepdims=True) + 1e-12)
@@ -196,26 +208,23 @@ def toy_head(
     box_w, box_b = params["head.box_w"].value, params["head.box_b"].value
     reg = flat @ box_w.T + box_b  # (HW, 4)
 
-    dets: list[Detection] = []
-    for p in range(h * w):
-        i, j = divmod(p, w)
-        cx, cy = j + 0.5, i + 0.5
-        x1 = float(np.clip(cx + reg[p, 0], 0.0, w))
-        y1 = float(np.clip(cy + reg[p, 1], 0.0, h))
-        x2 = float(np.clip(cx + reg[p, 2], 0.0, w))
-        y2 = float(np.clip(cy + reg[p, 3], 0.0, h))
-        if x1 >= x2 or y1 >= y2:
-            continue
-        for s in range(scores.shape[1]):
-            if scores[p, s] >= cfg.score_thr:
-                dets.append(
-                    Detection(
-                        box=Box(x1, y1, x2, y2),
-                        score=float(scores[p, s]),
-                        class_id=protos.class_ids[s],
-                        image_id=image_id,
-                    )
-                )
+    i, j = np.divmod(np.arange(h * w), w)
+    cx, cy = j + 0.5, i + 0.5
+    x1 = np.clip(cx + reg[:, 0], 0.0, w)
+    y1 = np.clip(cy + reg[:, 1], 0.0, h)
+    x2 = np.clip(cx + reg[:, 2], 0.0, w)
+    y2 = np.clip(cy + reg[:, 3], 0.0, h)
+    valid = ~((x1 >= x2) | (y1 >= y2))  # keeps NaN boxes, which Box then rejects
+    cells, slots = np.nonzero(valid[:, None] & (scores >= cfg.score_thr))
+    # one set of corner floats per cell, shared by its slots' boxes: a dense
+    # map keeps tens of thousands of detections alive
+    x1, y1, x2, y2 = x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()
+    dets = [
+        Detection(
+            box=Box(x1[c], y1[c], x2[c], y2[c]), score=score, class_id=protos.class_ids[s], image_id=image_id
+        )
+        for c, s, score in zip(cells.tolist(), slots.tolist(), scores[cells, slots].tolist())
+    ]
     return nms(dets, 0.5)
 
 

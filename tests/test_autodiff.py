@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check
-from fusedet.errors import PreconditionError, ShapeError
+from fusedet.errors import ParseError, PreconditionError, ShapeError
 
 
 class TestNodeArithmetic:
@@ -178,6 +178,29 @@ class TestParamStore:
         path = tmp_path / "junk.pst"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(PreconditionError):
+            ParamStore.load(path)
+
+    def test_load_rejects_every_truncation(self, tmp_path):
+        store = ParamStore()
+        store.zeros("w", (2, 3))
+        store.zeros("bias", ())
+        path = tmp_path / "p.pst"
+        store.save(path)
+        raw = path.read_bytes()
+        for n in range(4, len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(ParseError, match="truncated"):
+                ParamStore.load(path)
+
+    def test_load_rejects_non_utf8_key(self, tmp_path):
+        store = ParamStore()
+        store.zeros("w", (1,))
+        path = tmp_path / "p.pst"
+        store.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[18] = 0xFF  # the key's only byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="UTF-8"):
             ParamStore.load(path)
 
     def test_load_rejects_trailing_bytes(self, tmp_path):

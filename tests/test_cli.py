@@ -102,6 +102,17 @@ class TestFuse:
         code, _, err = run(capsys, "fuse", "--rgb", pa, "--ir", str(other), "--out", str(tmp_path / "o.fmp"))
         assert code == 2 and "shape" in err.lower()
 
+    def test_params_missing_a_key_exits_2(self, tmp_path, capsys):
+        _, _, pa, pb = small_maps(tmp_path)
+        partial = ParamStore(seed=0)
+        partial.zeros("fuse.w", (4, 8))
+        partial.save(tmp_path / "partial.pst")
+        code, _, err = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--params", str(tmp_path / "partial.pst"),
+            "--out", str(tmp_path / "o.fmp"),
+        )
+        assert code == 2 and "missing na_rgb." in err
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         _, _, pa, _ = small_maps(tmp_path)
         code, _, err = run(capsys, "fuse", "--rgb", pa, "--ir", str(tmp_path / "absent.fmp"), "--out", str(tmp_path / "o.fmp"))
@@ -182,6 +193,42 @@ class TestPipeline:
             "--out", str(tmp_path / "o.txt"), "--ids", "ghost",
         )
         assert code == 2 and "ghost" in err
+
+    def infer(self, capsys, tmp_path, data, rundir, params):
+        return run(
+            capsys, "infer", "--data", str(data / "index.txt"),
+            "--params", str(params), "--protos", str(rundir / "protos.fmp"),
+            "--out", str(tmp_path / "o.txt"), "--config", write_cfg(tmp_path),
+        )
+
+    def test_truncated_params_exit_2(self, tmp_path, capsys):
+        data, rundir, _, _ = self.run_pipeline(tmp_path, capsys, "T")
+        raw = (rundir / "params.pst").read_bytes()
+        cut = tmp_path / "cut.pst"
+        for n in (10, 40, len(raw) - 5):  # in the header, a key, the last payload
+            cut.write_bytes(raw[:n])
+            code, _, err = self.infer(capsys, tmp_path, data, rundir, cut)
+            assert code == 2 and "truncated" in err
+
+    def test_params_missing_a_key_exit_2(self, tmp_path, capsys):
+        data, rundir, _, _ = self.run_pipeline(tmp_path, capsys, "K")
+        full = ParamStore.load(rundir / "params.pst")
+        partial = ParamStore(seed=full.seed)
+        for key in full.keys():
+            if key != "head.obj_w":
+                partial.add(key, full.array(key))
+        partial.save(tmp_path / "partial.pst")
+        code, _, err = self.infer(capsys, tmp_path, data, rundir, tmp_path / "partial.pst")
+        assert code == 2 and "missing head.obj_w" in err
+
+    def test_non_finite_input_map_exit_3(self, tmp_path, capsys):
+        data, rundir, _, _ = self.run_pipeline(tmp_path, capsys, "N")
+        target = sorted(data.glob("*.fmp"))[0]
+        x = fmp.read_map(target)
+        x[0, 1, 1] = np.nan
+        fmp.write_map(target, x)
+        code, _, err = self.infer(capsys, tmp_path, data, rundir, rundir / "params.pst")
+        assert code == 3 and "non-finite" in err
 
 
 class TestEval:

@@ -307,7 +307,8 @@ class TestFuse:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_cmi_stub_errors(self):
-        with pytest.raises(NotImplementedError):
+        # the reserved placeholder mode is gone: it is an unknown mode now
+        with pytest.raises(PreconditionError, match="unknown fusion mode"):
             fuse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), "cmi-stub", {})
 
     def test_unknown_mode_rejected(self):

@@ -8,6 +8,7 @@ from fusedet.evaluation import (
     GroundTruth,
     average_precision,
     iou,
+    iou_row,
     match,
     nap50,
     read_detections,
@@ -45,6 +46,41 @@ def greedy_match_oracle(dets, gts, thr):
     return flags
 
 
+def loop_match(dets, gts, thr):
+    """The per-pair matching loop that `match` replaced, kept verbatim as
+    the oracle for its differential test."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    taken = [False] * len(gts)
+    flags = [False] * len(dets)
+    for i in order:
+        det = dets[i]
+        best, best_iou = -1, 0.0
+        for j, gt in enumerate(gts):
+            if taken[j] or gt.image_id != det.image_id or gt.class_id != det.class_id:
+                continue
+            v = iou(det.box, gt.box)
+            if v >= thr and v > best_iou:
+                best, best_iou = j, v
+        if best >= 0:
+            taken[best] = True
+            flags[i] = True
+    return flags
+
+
+def grid_box(rng):
+    """A box on a half-unit grid: exact IoU 0.5, touching edges and
+    duplicate boxes all turn up often."""
+    x1, y1 = rng.integers(0, 8, size=2) * 0.5
+    w, h = rng.integers(1, 6, size=2) * 0.5
+    return (float(x1), float(y1), float(x1 + w), float(y1 + h))
+
+
+def continuous_box(rng):
+    x1, y1 = rng.uniform(0, 6, size=2)
+    w, h = rng.uniform(0.1, 3, size=2)
+    return (float(x1), float(y1), float(x1 + w), float(y1 + h))
+
+
 class TestBox:
     def test_rejects_degenerate(self):
         with pytest.raises(PreconditionError):
@@ -69,6 +105,15 @@ class TestIou:
 
     def test_one_seventh(self):
         assert abs(iou(Box(0.0, 0.0, 2.0, 2.0), Box(1.0, 1.0, 3.0, 3.0)) - 1.0 / 7.0) <= 1e-15
+
+    def test_row_equals_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for make in (grid_box, continuous_box):
+            for _ in range(50):
+                a = make(rng)
+                others = [make(rng) for _ in range(int(rng.integers(0, 12)))]
+                row = iou_row(np.array(a), np.array(others).reshape(-1, 4))
+                assert [v.hex() for v in row.tolist()] == [iou(Box(*a), Box(*b)).hex() for b in others]
 
     def test_symmetry(self):
         a, b = Box(0.0, 0.0, 4.0, 3.0), Box(2.0, 1.0, 5.0, 6.0)
@@ -132,6 +177,27 @@ class TestMatch:
     def test_bad_threshold_rejected(self):
         with pytest.raises(PreconditionError):
             match([], [], 1.0)
+
+    def test_empty_inputs(self):
+        assert match([], [gt((0, 0, 1, 1))], 0.5) == []
+        assert match([det(0.5, (0, 0, 1, 1))], [], 0.5) == [False]
+
+    @pytest.mark.parametrize("thr", [0.3, 0.5, 0.7])
+    def test_matches_loop_oracle_on_grid_boxes(self, thr):
+        rng = np.random.default_rng(int(thr * 10))
+        for _ in range(150):
+            gts = [
+                gt(grid_box(rng), image_id=str(rng.choice(["a", "b"])), class_id=int(rng.integers(0, 2)))
+                for _ in range(int(rng.integers(0, 8)))
+            ]
+            dets = [
+                det(
+                    float(rng.choice([0.2, 0.5, 0.9])), grid_box(rng),
+                    image_id=str(rng.choice(["a", "b"])), class_id=int(rng.integers(0, 2)),
+                )
+                for _ in range(int(rng.integers(0, 14)))
+            ]
+            assert match(dets, gts, thr) == loop_match(dets, gts, thr)
 
 
 class TestAveragePrecision:

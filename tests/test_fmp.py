@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusedet import fmp
-from fusedet.errors import ParseError, ShapeError
+from fusedet.errors import NumericGuardError, ParseError, ShapeError
 
 
 class TestRoundTrip:
@@ -62,4 +62,13 @@ class TestRejections:
         path = tmp_path / "m.fmp"
         path.write_bytes(b"FMP1\x01")
         with pytest.raises(ParseError):
+            fmp.read_map(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        path = tmp_path / "m.fmp"
+        x = np.zeros((2, 3, 3))
+        x[1, 2, 0] = bad
+        fmp.write_map(path, x)
+        with pytest.raises(NumericGuardError, match="1 non-finite"):
             fmp.read_map(path)

@@ -6,7 +6,7 @@ import pytest
 from fusedet.autodiff import grad_check
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, PreconditionError
-from fusedet.evaluation import Box, Detection
+from fusedet.evaluation import Box, Detection, iou
 from fusedet.model import ModelConfig, init_params
 from fusedet.prototypes import PrototypeSet, task_encodings
 from fusedet.synth import SynthConfig, generate_synthetic
@@ -19,6 +19,7 @@ from fusedet.training import (
     precompute_prototypes,
     run_training,
     toy_head,
+    _unit_rows_fixed,
     train_grad_case,
     train_loss,
 )
@@ -47,6 +48,110 @@ def tiny_setup(root):
 
 def det(x1, y1, x2, y2, score, class_id=0, image_id="a"):
     return Detection(box=Box(x1, y1, x2, y2), score=score, class_id=class_id, image_id=image_id)
+
+
+# The greedy per-pair NMS and per-cell decode loop that the array versions
+# replaced, kept verbatim as oracles for the differential tests below.
+def oracle_nms(dets: list[Detection], thr: float = 0.5) -> list[Detection]:
+    """Greedy same-class suppression within each image at the IoU threshold."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    kept: list[Detection] = []
+    for i in order:
+        d = dets[i]
+        if all(
+            k.class_id != d.class_id or k.image_id != d.image_id or iou(k.box, d.box) < thr
+            for k in kept
+        ):
+            kept.append(d)
+    return kept
+
+
+def oracle_toy_head(f_cam, protos, params, cfg, image_id):
+    """Decode per-location scores and boxes into thresholded detections."""
+    d, h, w = f_cam.shape
+    flat = f_cam.transpose(1, 2, 0).reshape(h * w, d)
+    fhat = flat / np.sqrt((flat * flat).sum(axis=1, keepdims=True) + 1e-12)
+    logits = cfg.alpha * fhat @ _unit_rows_fixed(protos.t).T
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    slot_probs = e / e.sum(axis=1, keepdims=True)
+
+    obj_w, obj_b = params["head.obj_w"].value, params["head.obj_b"].value
+    obj = 1.0 / (1.0 + np.exp(-(flat @ obj_w.T + obj_b)))  # (HW, 1)
+    scores = obj * slot_probs
+
+    box_w, box_b = params["head.box_w"].value, params["head.box_b"].value
+    reg = flat @ box_w.T + box_b  # (HW, 4)
+
+    dets: list[Detection] = []
+    for p in range(h * w):
+        i, j = divmod(p, w)
+        cx, cy = j + 0.5, i + 0.5
+        x1 = float(np.clip(cx + reg[p, 0], 0.0, w))
+        y1 = float(np.clip(cy + reg[p, 1], 0.0, h))
+        x2 = float(np.clip(cx + reg[p, 2], 0.0, w))
+        y2 = float(np.clip(cy + reg[p, 3], 0.0, h))
+        if x1 >= x2 or y1 >= y2:
+            continue
+        for s in range(scores.shape[1]):
+            if scores[p, s] >= cfg.score_thr:
+                dets.append(
+                    Detection(
+                        box=Box(x1, y1, x2, y2),
+                        score=float(scores[p, s]),
+                        class_id=protos.class_ids[s],
+                        image_id=image_id,
+                    )
+                )
+    return oracle_nms(dets, 0.5)
+
+
+def bits(dets):
+    """Every field of every detection, floats as exact hex strings."""
+    return [
+        (d.image_id, d.class_id, d.score.hex(), d.box.x1.hex(), d.box.y1.hex(), d.box.x2.hex(), d.box.y2.hex())
+        for d in dets
+    ]
+
+
+def assert_same_detections(got, want):
+    assert got == want
+    assert bits(got) == bits(want)
+
+
+def grid_detections(rng, n):
+    """Boxes on a half-unit grid, so exact IoU 0.5, touching edges and
+    duplicates are common, with scores drawn from a few values so ties
+    are too, over two images and three classes."""
+    dets = []
+    for _ in range(n):
+        x1, y1 = rng.integers(0, 8, size=2) * 0.5
+        w, h = rng.integers(1, 6, size=2) * 0.5
+        dets.append(
+            Detection(
+                box=Box(float(x1), float(y1), float(x1 + w), float(y1 + h)),
+                score=float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9])),
+                class_id=int(rng.integers(0, 3)),
+                image_id=str(rng.choice(["a", "b"])),
+            )
+        )
+    return dets
+
+
+def continuous_detections(rng, n):
+    dets = []
+    for _ in range(n):
+        x1, y1 = rng.uniform(0, 10, size=2)
+        w, h = rng.uniform(0.1, 4, size=2)
+        dets.append(
+            Detection(
+                box=Box(float(x1), float(y1), float(x1 + w), float(y1 + h)),
+                score=float(rng.uniform()),
+                class_id=int(rng.integers(0, 2)),
+                image_id=str(rng.choice(["a", "b", "c"])),
+            )
+        )
+    return dets
 
 
 class TestTrainConfig:
@@ -132,6 +237,36 @@ class TestNms:
         kept = nms([det(0, 0, 2, 2, 0.9), det(1.5, 1.5, 3.5, 3.5, 0.8)])
         assert len(kept) == 2
 
+    def test_empty_input(self):
+        assert nms([], 0.5) == [] == oracle_nms([], 0.5)
+
+    def test_iou_exactly_at_threshold_is_suppressed(self):
+        a, b = det(0, 0, 2, 2, 0.9), det(0, 0, 2, 1, 0.8)
+        assert iou(a.box, b.box) == 0.5
+        assert nms([a, b], 0.5) == [a]
+
+    def test_touching_boxes_both_kept(self):
+        a, b = det(0, 0, 1, 1, 0.9), det(1, 0, 2, 1, 0.9)
+        assert iou(a.box, b.box) == 0.0
+        assert nms([a, b], 0.01) == oracle_nms([a, b], 0.01) == [a, b]
+
+    def test_kept_in_global_score_order(self):
+        dets = [det(0, 0, 1, 1, 0.2, image_id="b"), det(0, 0, 1, 1, 0.7, class_id=1), det(3, 3, 4, 4, 0.5)]
+        assert nms(dets) == [dets[1], dets[2], dets[0]]
+
+    @pytest.mark.parametrize("thr", [0.0, 0.3, 0.5, 0.7])
+    def test_matches_greedy_oracle_on_grid_boxes(self, thr):
+        rng = np.random.default_rng(int(thr * 10))
+        for _ in range(60):
+            dets = grid_detections(rng, int(rng.integers(0, 40)))
+            assert_same_detections(nms(dets, thr), oracle_nms(dets, thr))
+
+    def test_matches_greedy_oracle_on_continuous_boxes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            dets = continuous_detections(rng, int(rng.integers(0, 120)))
+            assert_same_detections(nms(dets, 0.5), oracle_nms(dets, 0.5))
+
 
 class TestToyHead:
     @staticmethod
@@ -176,6 +311,43 @@ class TestToyHead:
         f_cam = np.tile(t[0][:, None, None], (1, 4, 4))
         dets = toy_head(f_cam, protos, params, cfg, "q")
         assert dets and all(d.box == Box(0.0, 0.0, 4.0, 4.0) for d in dets)
+
+    @pytest.mark.parametrize("score_thr", [0.0, 0.3])
+    def test_matches_loop_oracle_on_random_maps(self, score_thr):
+        cfg = ModelConfig(**TINY_MODEL, score_thr=score_thr)
+        rng = np.random.default_rng(int(score_thr * 10) + 1)
+        for trial in range(12):
+            h, w = (int(v) for v in rng.integers(1, 9, size=2))
+            c = int(rng.integers(1, 4))
+            t = rng.standard_normal((c, 4))
+            class_ids = tuple(int(k) for k in rng.choice(10, size=c, replace=False))
+            protos = PrototypeSet(s=t.copy(), t=t, class_ids=class_ids)
+            store = init_params(cfg, seed=trial)
+            # large regressions clip at the border; a reversed bias makes
+            # some boxes degenerate
+            store.set_array("head.box_w", rng.standard_normal((4, 4)) * rng.choice([0.3, 3.0]))
+            store.set_array("head.box_b", rng.choice([-1.0, 1.0], size=4) * rng.uniform(0, 2, size=4))
+            store.set_array("head.obj_w", rng.standard_normal((1, 4)))
+            store.set_array("head.obj_b", rng.normal(0, 2, size=1))
+            f_cam = rng.standard_normal((4, h, w))
+            f_cam[:, :, : w // 2] = f_cam[:, :1, :1]  # repeated cells: score ties
+            params = store.nodes()
+            assert_same_detections(
+                toy_head(f_cam, protos, params, cfg, f"q{trial}"),
+                oracle_toy_head(f_cam, protos, params, cfg, f"q{trial}"),
+            )
+
+    @pytest.mark.parametrize("score_thr", [0.0, 0.3])
+    def test_matches_loop_oracle_at_exact_half_overlap(self, score_thr):
+        # equal features everywhere: every score ties; 3 x 1 boxes on unit
+        # steps give IoU exactly 0.5 across columns and touch across rows
+        cfg = ModelConfig(**TINY_MODEL, score_thr=score_thr)
+        protos, t = self.protos_for()
+        params = self.head_params(init_params(cfg, seed=0), 2.0, (-1.5, -0.5, 1.5, 0.5))
+        f_cam = np.tile(t[0][:, None, None], (1, 4, 5))
+        got = toy_head(f_cam, protos, params, cfg, "q")
+        assert got
+        assert_same_detections(got, oracle_toy_head(f_cam, protos, params, cfg, "q"))
 
 
 class TestRunTraining:
