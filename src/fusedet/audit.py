@@ -1,0 +1,138 @@
+"""Seeded fixtures for the finite-difference gradient audit.
+
+Each case is a (store, build) pair: a parameter store and a function from
+its leaf nodes to a scalar loss.  The `gradcheck` command and the tests
+run `grad_check` over them and hold the result to GRAD_TOL.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from .autodiff import Node, ParamStore, min_abs_grad
+from .data import SplitSpec, build_supports, sample_episode
+from .deformable import CDAConfig, FusionConfig, fusion_forward, init_fusion_params
+from .model import ModelConfig, init_params
+from .neighborhood import NAConfig, init_na_params, na_forward
+from .prototypes import PrototypeSet, cam_forward, cosine_ce_loss, init_cam_params, task_encodings
+from .synth import SynthConfig, generate_synthetic
+from .training import TrainConfig, train_loss
+
+GRAD_TOL = 1e-6
+
+
+def fusion_grad_case(seed: int, channels: int = 3, hw: int = 4):
+    """Seeded fusion configuration plus scalar objective for gradient audits.
+
+    Offset weights and map contrast are scaled up so parameter gradients sit
+    well above the central-difference noise floor on most seeds; callers
+    screen candidates with min_abs_grad before running grad_check, because a
+    chance near-cancellation in one entry makes that entry unresolvable by
+    finite differences regardless of implementation correctness.
+    """
+    cfg = FusionConfig(
+        na=NAConfig(k=3, channels=channels),
+        cda=CDAConfig(r=2, s=0.5, k_off=3, channels=channels),
+    )
+    store = ParamStore(seed=seed)
+    init_fusion_params(store, cfg)
+    rng = np.random.default_rng(seed + 1000)
+    for prefix in ("cda_rgb", "cda_ir"):
+        store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, channels)))
+        store.set_array(f"{prefix}.off_b", 0.3 * rng.standard_normal(2))
+    f_rgb = 2.0 * rng.standard_normal((channels, hw, hw))
+    f_ir = 2.0 * rng.standard_normal((channels, hw, hw))
+    probe = rng.standard_normal((channels, hw, hw))
+
+    def build(params: dict[str, Node]) -> Node:
+        return (fusion_forward(f_rgb, f_ir, cfg, params) * probe).sum()
+
+    return store, build
+
+
+def train_grad_case(root, seed: int):
+    """Seeded tiny-episode objective for end-to-end gradient audits.
+
+    Builds a fixed four-channel synthetic dataset under `root`, one
+    fine-tune episode, and a parameter store, all determined by `seed`,
+    and returns (store, build) where build(params) is the full training
+    loss.  Attention projections are redrawn at a larger scale than the
+    training init: with near-uniform attention the per-entry gradients
+    of the query/key matrices land below the rounding noise of a central
+    difference on a loss of this magnitude, so the audit would report
+    spurious errors for entries no finite-difference scheme can resolve.
+    Seeds 0, 23, and 119 are verified well-conditioned; screen any other
+    candidate with min_abs_grad before trusting a failure.
+    """
+    scfg = SynthConfig(
+        classes=2, images=8, channels=4, height=4, width=4,
+        max_objects=1, noise=0.1, min_size=2.0, max_size=3.0, amplitude=3.0,
+    )
+    index = generate_synthetic(root, scfg, seed=0)
+    split = SplitSpec(base_classes=(0,), novel_classes=(1,))
+    supports = build_supports(index, split, k=2, n_seeds=1)
+    cfg = ModelConfig(
+        channels=4, classes_total=2, t_max=2, na_k=3,
+        r=2, s=0.5, k_off=3, roi_out=2, roi_sampling=1,
+    )
+    tcfg = TrainConfig(seed=0, shots_per_step=1)
+    store = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 2000)
+    for prefix in ("na_rgb", "na_ir", "cda_rgb", "cda_ir"):
+        store.set_array(f"{prefix}.wq", 2.5 * rng.standard_normal((4, 4)))
+        store.set_array(f"{prefix}.wk", 2.5 * rng.standard_normal((4, 4)))
+    store.set_array("cam.w", 2.5 * rng.standard_normal((4, 4)))
+    episode = sample_episode(
+        index, split, "finetune", np.random.default_rng((seed, 7)),
+        supports[0], t_max=2, shots_per_slot=1,
+    )
+
+    def build(params):
+        return train_loss(episode, index, cfg, tcfg, params)
+
+    return store, build
+
+
+def gradcheck_cases(seed: int, root: Path):
+    """(name, store, build) for each differentiable stage, seeded."""
+    rng = np.random.default_rng((seed, 55))
+
+    d, h, w = 3, 4, 4
+    na_cfg = NAConfig(k=3, channels=d)
+    store = ParamStore(seed=seed)
+    init_na_params(store, "na", d)
+    x = rng.standard_normal((d, h, w))
+    probe = rng.standard_normal((d, h, w))
+    yield "window-attention", store, lambda p: (na_forward(x, na_cfg, p, "na") * probe).sum()
+
+    # skip candidate seeds whose smallest gradient entry falls below what
+    # central differences can resolve at the audit tolerance
+    for cand in range(seed, seed + 32):
+        store2, build2 = fusion_grad_case(cand)
+        if min_abs_grad(build2, store2) >= 1e-3:
+            break
+    yield "fusion", store2, build2
+
+    c, d2 = 2, 4
+    store3 = ParamStore(seed=seed)
+    init_cam_params(store3, "cam", d2)
+    store3.xavier_uniform("meta.class_weights", (c, d2), d2, c)
+    store3.xavier_uniform("protos", (c, d2), d2, c)
+    fq = rng.standard_normal((d2, 3, 3))
+    probe3 = rng.standard_normal((d2, 3, 3))
+
+    def cam_loss(p):
+        protos = PrototypeSet(s=p["protos"], t=task_encodings(c, d2), class_ids=tuple(range(c)))
+        agg = cam_forward(fq, protos, p)
+        return (agg * probe3).sum() + cosine_ce_loss(protos.s, p["meta.class_weights"], list(range(c)))
+
+    yield "aggregation-and-cosine-loss", store3, cam_loss
+
+    # same screening for the end-to-end loss, with verified fallbacks so
+    # the command terminates on a resolvable configuration for any seed
+    for cand in [*range(seed, seed + 8), 0, 119]:
+        store4, build4 = train_grad_case(root, cand)
+        if min_abs_grad(build4, store4) >= 2.5e-4:
+            break
+    yield "training-loss", store4, build4

@@ -159,13 +159,6 @@ class SupportSet:
     def contains(self, class_id: int, image_id: str, box: SupportBox) -> bool:
         return (image_id, box) in self.instances.get(class_id, [])
 
-    def image_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for items in self.instances.values():
-            for image_id, _ in items:
-                seen.setdefault(image_id)
-        return list(seen)
-
 
 def build_supports(
     index: DatasetIndex, split: SplitSpec, k: int, n_seeds: int = 10, master_seed: int = 0

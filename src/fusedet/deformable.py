@@ -93,6 +93,16 @@ def init_fuse_params(store: ParamStore, prefix: str, channels: int) -> None:
     store.zeros(f"{prefix}.b", (channels,))
 
 
+def init_fusion_params(store: ParamStore, cfg: FusionConfig) -> None:
+    """Every parameter fusion_forward reads, drawn in a fixed order."""
+    d = cfg.na.channels
+    init_na_params(store, "na_rgb", d)
+    init_na_params(store, "na_ir", d)
+    init_cda_params(store, "cda_rgb", cfg.cda)
+    init_cda_params(store, "cda_ir", cfg.cda)
+    init_fuse_params(store, "fuse", d)
+
+
 def offset_net(f_src, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> Node:
     """Predict one bounded 2-D offset per reference point: (2, H/r * W/r).
 
@@ -108,13 +118,6 @@ def offset_net(f_src, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> N
     raw = ops.conv1x1(mid, params[f"{prefix}.off_w"], params[f"{prefix}.off_b"])
     n = (h // cfg.r) * (w // cfg.r)
     return ops.tanh(raw.reshape((2, n))) * cfg.s
-
-
-def deformed_coords(f_kv_src: np.ndarray, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> np.ndarray:
-    """Numeric sampling locations (reference grid plus predicted offsets)."""
-    _, h, w = np.asarray(f_kv_src).shape
-    dp = offset_net(f_kv_src, cfg, params, prefix)
-    return reference_grid(h, w, cfg.r) + dp.value
 
 
 def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> Node:
@@ -179,36 +182,3 @@ def fusion_forward(f_rgb, f_ir, cfg: FusionConfig, params: dict[str, Node]) -> N
     fpp_rgb = cda_forward(f_rgb, fp_rgb, fp_ir, cfg.cda, params, "cda_rgb")
     fpp_ir = cda_forward(f_ir, fp_ir, fp_rgb, cfg.cda, params, "cda_ir")
     return fuse(fpp_ir, fpp_rgb, "concat", params)
-
-
-def fusion_grad_case(seed: int, channels: int = 3, hw: int = 4):
-    """Seeded fusion configuration plus scalar objective for gradient audits.
-
-    Offset weights and map contrast are scaled up so parameter gradients sit
-    well above the central-difference noise floor on most seeds; callers
-    screen candidates with min_abs_grad before running grad_check, because a
-    chance near-cancellation in one entry makes that entry unresolvable by
-    finite differences regardless of implementation correctness.
-    """
-    cfg = FusionConfig(
-        na=NAConfig(k=3, channels=channels),
-        cda=CDAConfig(r=2, s=0.5, k_off=3, channels=channels),
-    )
-    store = ParamStore(seed=seed)
-    init_na_params(store, "na_rgb", channels)
-    init_na_params(store, "na_ir", channels)
-    init_cda_params(store, "cda_rgb", cfg.cda)
-    init_cda_params(store, "cda_ir", cfg.cda)
-    init_fuse_params(store, "fuse", channels)
-    rng = np.random.default_rng(seed + 1000)
-    for prefix in ("cda_rgb", "cda_ir"):
-        store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, channels)))
-        store.set_array(f"{prefix}.off_b", 0.3 * rng.standard_normal(2))
-    f_rgb = 2.0 * rng.standard_normal((channels, hw, hw))
-    f_ir = 2.0 * rng.standard_normal((channels, hw, hw))
-    probe = rng.standard_normal((channels, hw, hw))
-
-    def build(params: dict[str, Node]) -> Node:
-        return (fusion_forward(f_rgb, f_ir, cfg, params) * probe).sum()
-
-    return store, build

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .autodiff import Node, ParamStore
-from .deformable import CDAConfig, FusionConfig, fuse, fusion_forward, init_cda_params, init_fuse_params
+from .deformable import FUSE_MODES, CDAConfig, FusionConfig, fuse, fusion_forward, init_fusion_params
 from .errors import PreconditionError
-from .neighborhood import NAConfig, init_na_params
+from .neighborhood import NAConfig
 from .prototypes import GATE_MODES, init_cam_params
 
 
@@ -35,7 +35,7 @@ class ModelConfig:
             raise PreconditionError("need at least one class")
         if self.t_max < 1:
             raise PreconditionError("episode slot capacity must be positive")
-        if self.fusion_mode not in ("cda", "concat", "add"):
+        if self.fusion_mode not in FUSE_MODES:
             raise PreconditionError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.gate_mode not in GATE_MODES:
             raise PreconditionError(f"unknown gate mode {self.gate_mode!r}")
@@ -58,12 +58,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     """Every parameter group the pipeline uses, under stable key prefixes."""
     store = ParamStore(seed=seed)
     d = cfg.channels
-    fusion = cfg.fusion_config()
-    init_na_params(store, "na_rgb", d)
-    init_na_params(store, "na_ir", d)
-    init_cda_params(store, "cda_rgb", fusion.cda)
-    init_cda_params(store, "cda_ir", fusion.cda)
-    init_fuse_params(store, "fuse", d)
+    init_fusion_params(store, cfg.fusion_config())
     init_cam_params(store, "cam", d)
     store.xavier_uniform("head.box_w", (4, d), d, 4)
     store.zeros("head.box_b", (4,))

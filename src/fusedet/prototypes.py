@@ -10,11 +10,10 @@ unit square centered at (j + 0.5, i + 0.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import fmp, ops
+from . import ops
 from .autodiff import Node, ParamStore, as_node
 from .deformable import normalize_coords
 from .errors import NumericGuardError, PreconditionError, ShapeError
@@ -229,19 +228,28 @@ def average_prototypes(per_seed: list[PrototypeSet]) -> PrototypeSet:
 
 
 def save_prototypes(path, protos: PrototypeSet) -> None:
-    """FMP1 container with shape (1, C, D) plus a sidecar class-id list."""
-    fmp.write_map(path, protos.values[None, :, :])
-    sidecar = Path(f"{path}.classes")
-    sidecar.write_text("".join(f"{c}\n" for c in protos.class_ids))
+    """One parameter-store file: `prototypes` (C, D) and `class_ids` (C,)."""
+    store = ParamStore()
+    store.add("prototypes", protos.values)
+    store.add("class_ids", protos.class_ids)
+    store.save(path)
 
 
 def load_prototypes(path) -> PrototypeSet:
-    arr = fmp.read_map(path)
-    if arr.shape[0] != 1:
-        raise ShapeError(f"{path}: prototype container must have one channel, got {arr.shape}")
-    lines = Path(f"{path}.classes").read_text().split()
-    class_ids = tuple(int(tok) for tok in lines)
-    c, d = arr.shape[1], arr.shape[2]
-    if len(class_ids) != c:
-        raise PreconditionError(f"{path}: {c} prototype rows but {len(class_ids)} class ids")
-    return PrototypeSet(s=as_node(arr[0]), t=task_encodings(c, d), class_ids=class_ids)
+    """Read what save_prototypes wrote, rejecting a missing key, a wrong
+    rank or length, non-finite values, and non-integral or repeated ids."""
+    store = ParamStore.load(path)
+    missing = [k for k in ("prototypes", "class_ids") if k not in store]
+    if missing:
+        raise PreconditionError(f"{path}: missing {', '.join(missing)}")
+    values, ids = store.array("prototypes"), store.array("class_ids")
+    if values.ndim != 2:
+        raise ShapeError(f"{path}: prototypes must be (C, D), got {values.shape}")
+    if ids.shape != values.shape[:1]:
+        raise ShapeError(f"{path}: {values.shape[0]} prototype rows but class ids shaped {ids.shape}")
+    if not (np.isfinite(values).all() and np.isfinite(ids).all()):
+        raise NumericGuardError(f"{path}: non-finite prototype values or class ids")
+    if not np.array_equal(ids, np.round(ids)):
+        raise PreconditionError(f"{path}: class ids {ids.tolist()} are not all integers")
+    c, d = values.shape
+    return PrototypeSet(s=as_node(values), t=task_encodings(c, d), class_ids=tuple(int(i) for i in ids))

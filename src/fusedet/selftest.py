@@ -35,23 +35,14 @@ def _check_na_oracle() -> None:
         assert err <= 1e-10, f"window attention deviates from masked oracle by {err:.3e}"
 
 
-def _check_cda_dense() -> None:
-    rng = np.random.default_rng(13)
-    d, h, w = 4, 3, 3
-    cfg = deformable.CDAConfig(r=1, s=0.5, k_off=3, channels=d)
-    store = ParamStore(seed=5)
-    deformable.init_cda_params(store, "cda", cfg)
-    params = store.nodes()
-    f_res = rng.standard_normal((d, h, w))
-    f_q = rng.standard_normal((d, h, w))
-    f_kv = rng.standard_normal((d, h, w))
-    got = deformable.cda_forward(f_res, f_q, f_kv, cfg, params, "cda").value
-
-    # Independent straight-line recomputation with keys at every pixel.
+def cda_dense_oracle(f_res, f_q, f_kv, store: ParamStore, prefix: str = "cda") -> np.ndarray:
+    """Straight-line deformable attention with zero offsets at stride 1,
+    which puts a key at every pixel: plain dense attention plus the FFN."""
+    d, h, w = f_q.shape
     kv = f_kv.reshape(d, h * w).T
-    q = (f_q.reshape(d, h * w).T) @ store.array("cda.wq").T
-    keys = kv @ store.array("cda.wk").T
-    vals = kv @ store.array("cda.wv").T
+    q = (f_q.reshape(d, h * w).T) @ store.array(f"{prefix}.wq").T
+    keys = kv @ store.array(f"{prefix}.wk").T
+    vals = kv @ store.array(f"{prefix}.wv").T
     logits = q @ keys.T / np.sqrt(d)
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -59,15 +50,27 @@ def _check_cda_dense() -> None:
     mixed = (attn @ vals).T.reshape(d, h, w)
     inner = f_q + mixed
     hidden = np.maximum(
-        np.tensordot(store.array("cda.ffn_w1"), inner, axes=([1], [0]))
-        + store.array("cda.ffn_b1")[:, None, None],
+        np.tensordot(store.array(f"{prefix}.ffn_w1"), inner, axes=([1], [0]))
+        + store.array(f"{prefix}.ffn_b1")[:, None, None],
         0.0,
     )
-    want = f_res + (
-        np.tensordot(store.array("cda.ffn_w2"), hidden, axes=([1], [0]))
-        + store.array("cda.ffn_b2")[:, None, None]
+    return f_res + (
+        np.tensordot(store.array(f"{prefix}.ffn_w2"), hidden, axes=([1], [0]))
+        + store.array(f"{prefix}.ffn_b2")[:, None, None]
     )
-    err = np.abs(got - want).max()
+
+
+def _check_cda_dense() -> None:
+    rng = np.random.default_rng(13)
+    d, h, w = 4, 3, 3
+    cfg = deformable.CDAConfig(r=1, s=0.5, k_off=3, channels=d)
+    store = ParamStore(seed=5)
+    deformable.init_cda_params(store, "cda", cfg)
+    f_res = rng.standard_normal((d, h, w))
+    f_q = rng.standard_normal((d, h, w))
+    f_kv = rng.standard_normal((d, h, w))
+    got = deformable.cda_forward(f_res, f_q, f_kv, cfg, store.nodes(), "cda").value
+    err = np.abs(got - cda_dense_oracle(f_res, f_q, f_kv, store)).max()
     assert err <= 1e-10, f"zero-offset attention deviates from dense oracle by {err:.3e}"
 
 

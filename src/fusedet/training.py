@@ -15,12 +15,11 @@ import numpy as np
 
 from . import ops
 from .autodiff import Node, ParamStore, as_node, backward
-from .data import DatasetIndex, Episode, SplitSpec, SupportSet, build_supports, sample_episode
+from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
 from .errors import DivergenceError, PreconditionError
 from .evaluation import Box, Detection, GroundTruth, box_array, iou_row
 from .model import ModelConfig, init_params, query_features
 from .prototypes import PrototypeSet, SupportBox, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
-from .synth import SynthConfig, generate_synthetic
 
 
 @dataclass(frozen=True)
@@ -81,20 +80,28 @@ def center_cell(box: SupportBox, h: int, w: int) -> tuple[int, int]:
     return min(int(cy), h - 1), min(int(cx), w - 1)
 
 
-def episode_prototypes(
-    episode: Episode, index: DatasetIndex, cfg: ModelConfig, params: dict[str, Node]
+def support_prototypes(
+    index: DatasetIndex,
+    instances: dict[int, list[tuple[str, SupportBox]]],
+    classes,
+    cfg: ModelConfig,
+    params: dict[str, Node],
 ) -> PrototypeSet:
-    """Run every distinct support image through the fusion pipeline and
-    pool the sampled boxes into one prototype per slot."""
+    """One prototype per class, rows in `classes` order.
+
+    `instances` maps each class to its (image_id, box) supports, as
+    `Episode.support` and `SupportSet.instances` do.  Boxes are grouped by
+    image in `classes` order, and each image is fused once.
+    """
     grouped: dict[str, list[SupportBox]] = {}
-    for c in episode.slots:
-        for image_id, box in episode.support[c]:
+    for c in classes:
+        for image_id, box in instances[c]:
             grouped.setdefault(image_id, []).append(box)
     supports = []
     for image_id, boxes in grouped.items():
         rgb, ir = index.load_pair(image_id)
         supports.append((query_features(rgb, ir, cfg, params), boxes))
-    return extract_prototypes(supports, episode.slots, out=cfg.roi_out, sampling=cfg.roi_sampling)
+    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
 
 
 def train_loss(
@@ -106,7 +113,7 @@ def train_loss(
 ) -> Node:
     """Scalar episode loss: prototype alignment + per-location slot
     cross-entropy + corner-offset L1 at ground-truth centers."""
-    protos = episode_prototypes(episode, index, cfg, params)
+    protos = support_prototypes(index, episode.support, episode.slots, cfg, params)
     meta = cosine_ce_loss(protos.s, params["meta.class_weights"], list(episode.slots), cfg.alpha)
 
     rgb, ir = index.load_pair(episode.query_id)
@@ -236,20 +243,9 @@ def precompute_prototypes(
 ) -> PrototypeSet:
     """One PrototypeSet per support draw, averaged elementwise: the single
     inference-time prototype table."""
-    per_seed = []
-    for sset in support_sets:
-        classes = sorted(sset.instances)
-        grouped: dict[str, list[SupportBox]] = {}
-        for c in classes:
-            for image_id, box in sset.instances[c]:
-                grouped.setdefault(image_id, []).append(box)
-        supports = []
-        for image_id, boxes in grouped.items():
-            rgb, ir = index.load_pair(image_id)
-            supports.append((query_features(rgb, ir, cfg, params), boxes))
-        per_seed.append(
-            extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
-        )
+    per_seed = [
+        support_prototypes(index, sset.instances, sorted(sset.instances), cfg, params) for sset in support_sets
+    ]
     return average_prototypes(per_seed)
 
 
@@ -342,46 +338,3 @@ def ablate_thermal(rgb: np.ndarray, ir: np.ndarray) -> tuple[np.ndarray, np.ndar
     out = ir.copy()
     out[ir.shape[0] // 2 :] = 0.0
     return rgb, out
-
-
-def train_grad_case(root, seed: int):
-    """Seeded tiny-episode objective for end-to-end gradient audits.
-
-    Builds a fixed four-channel synthetic dataset under `root`, one
-    fine-tune episode, and a parameter store, all determined by `seed`,
-    and returns (store, build) where build(params) is the full training
-    loss.  Attention projections are redrawn at a larger scale than the
-    training init: with near-uniform attention the per-entry gradients
-    of the query/key matrices land below the rounding noise of a central
-    difference on a loss of this magnitude, so the audit would report
-    spurious errors for entries no finite-difference scheme can resolve.
-    Seeds 0, 23, and 119 are verified well-conditioned; screen any other
-    candidate with min_abs_grad before trusting a failure.
-    """
-    scfg = SynthConfig(
-        classes=2, images=8, channels=4, height=4, width=4,
-        max_objects=1, noise=0.1, min_size=2.0, max_size=3.0, amplitude=3.0,
-    )
-    index = generate_synthetic(root, scfg, seed=0)
-    split = SplitSpec(base_classes=(0,), novel_classes=(1,))
-    supports = build_supports(index, split, k=2, n_seeds=1)
-    cfg = ModelConfig(
-        channels=4, classes_total=2, t_max=2, na_k=3,
-        r=2, s=0.5, k_off=3, roi_out=2, roi_sampling=1,
-    )
-    tcfg = TrainConfig(seed=0, shots_per_step=1)
-    store = init_params(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 2000)
-    for prefix in ("na_rgb", "na_ir", "cda_rgb", "cda_ir"):
-        store.set_array(f"{prefix}.wq", 2.5 * rng.standard_normal((4, 4)))
-        store.set_array(f"{prefix}.wk", 2.5 * rng.standard_normal((4, 4)))
-    store.set_array("cam.w", 2.5 * rng.standard_normal((4, 4)))
-    episode = sample_episode(
-        index, split, "finetune", np.random.default_rng((seed, 7)),
-        supports[0], t_max=2, shots_per_slot=1,
-    )
-
-    def build(params):
-        return train_loss(episode, index, cfg, tcfg, params)
-
-    return store, build

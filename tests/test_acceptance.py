@@ -5,16 +5,11 @@ measured quantity (visible with -s, or in the -v result listing by name).
 """
 import numpy as np
 
+from fusedet.audit import fusion_grad_case, train_grad_case
 from fusedet.autodiff import ParamStore, grad_check, min_abs_grad
 from fusedet.cli import main
 from fusedet.data import SplitSpec, build_supports, sample_episode
-from fusedet.deformable import (
-    CDAConfig,
-    cda_forward,
-    fusion_grad_case,
-    init_cda_params,
-    offset_net,
-)
+from fusedet.deformable import CDAConfig, cda_forward, init_cda_params, offset_net
 from fusedet.evaluation import (
     Box,
     Detection,
@@ -32,6 +27,7 @@ from fusedet.prototypes import (
     init_cam_params,
     task_encodings,
 )
+from fusedet.selftest import CHECKS, cda_dense_oracle
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
     TrainConfig,
@@ -40,7 +36,6 @@ from fusedet.training import (
     gts_of,
     precompute_prototypes,
     run_training,
-    train_grad_case,
 )
 
 
@@ -80,25 +75,7 @@ def test_criterion_02_zero_offset_attention_matches_dense_oracle():
         f_q = rng.standard_normal((d, h, w))
         f_kv = rng.standard_normal((d, h, w))
         got = cda_forward(f_res, f_q, f_kv, cfg, store.nodes(), "cda").value
-
-        kv = f_kv.reshape(d, h * w).T
-        q = f_q.reshape(d, h * w).T @ store.array("cda.wq").T
-        keys = kv @ store.array("cda.wk").T
-        vals = kv @ store.array("cda.wv").T
-        logits = q @ keys.T / np.sqrt(d)
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        mixed = ((e / e.sum(axis=1, keepdims=True)) @ vals).T.reshape(d, h, w)
-        inner = f_q + mixed
-        hidden = np.maximum(
-            np.einsum("oc,chw->ohw", store.array("cda.ffn_w1"), inner)
-            + store.array("cda.ffn_b1")[:, None, None],
-            0.0,
-        )
-        want = f_res + (
-            np.einsum("oc,chw->ohw", store.array("cda.ffn_w2"), hidden)
-            + store.array("cda.ffn_b2")[:, None, None]
-        )
+        want = cda_dense_oracle(f_res, f_q, f_kv, store)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-10
     report(2, f"zero-offset r=1 attention vs dense oracle, 20 pairs, max abs err {worst:.3e} <= 1e-10")
@@ -190,20 +167,7 @@ def test_criterion_04_offset_bound():
 
 
 def test_criterion_05_average_precision_hand_cases():
-    gts = [
-        GroundTruth(Box(0, 0, 2, 2), class_id=0, image_id="a"),
-        GroundTruth(Box(5, 5, 7, 7), class_id=0, image_id="a"),
-    ]
-    dets = [
-        Detection(Box(0, 0, 2, 2), 0.9, 0, "a"),
-        Detection(Box(10, 10, 12, 12), 0.8, 0, "a"),
-        Detection(Box(5, 5, 7, 7), 0.7, 0, "a"),
-    ]
-    walked = average_precision(dets, gts, class_id=0)
-    assert abs(walked - 5.0 / 6.0) < 1e-15
-    perfect = [Detection(g.box, 0.9, 0, "a") for g in gts]
-    assert average_precision(perfect, gts, 0) == 1.0
-    assert average_precision([], gts, 0) == 0.0
+    dict(CHECKS)["ap-hand-cases"]()  # hand-walked 5/6, perfect 1.0, empty 0.0
 
     rng = np.random.default_rng(55)
     r_gts, r_dets = [], []
@@ -338,7 +302,7 @@ def _pipeline(tmp_path, capsys, tag, cfg_text=CFG_8):
         ["train", "--data", str(data / "index.txt"), "--out", str(rundir),
          "--seed", "0", "--config", str(cfgp)],
         ["infer", "--data", str(data / "index.txt"), "--params", str(rundir / "params.pst"),
-         "--protos", str(rundir / "protos.fmp"), "--out", str(dets), "--config", str(cfgp)],
+         "--protos", str(rundir / "protos.pst"), "--out", str(dets), "--config", str(cfgp)],
         ["eval", "--dets", str(dets), "--gts", str(data / "gts.txt"),
          "--novel", "1", "--config", str(cfgp)],
     ):

@@ -3,8 +3,8 @@ import pytest
 
 from fusedet import fmp
 from fusedet.autodiff import ParamStore
-from fusedet.cli import _fusion_store, main
-from fusedet.deformable import CDAConfig, FusionConfig, fusion_forward
+from fusedet.cli import main
+from fusedet.deformable import CDAConfig, FusionConfig, fusion_forward, init_fusion_params
 from fusedet.evaluation import (
     Box,
     Detection,
@@ -82,7 +82,23 @@ class TestFuse:
         fusion = FusionConfig(
             na=NAConfig(k=3, channels=4), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=4)
         )
-        expected = fusion_forward(a, b, fusion, _fusion_store(3, fusion).nodes())
+        store = ParamStore(seed=3)
+        init_fusion_params(store, fusion)
+        expected = fusion_forward(a, b, fusion, store.nodes())
+        assert np.array_equal(fmp.read_map(out), expected.value)
+
+    def test_cda_mode_on_odd_channel_count(self, tmp_path, capsys):
+        # a model needs an even channel count; fuse takes the maps' own
+        a, b, pa, pb = small_maps(tmp_path, d=3)
+        out = tmp_path / "fused.fmp"
+        code, _, _ = run(capsys, "fuse", "--rgb", pa, "--ir", pb, "--mode", "cda", "--seed", "1", "--out", str(out))
+        assert code == 0
+        fusion = FusionConfig(
+            na=NAConfig(k=3, channels=3), cda=CDAConfig(r=2, s=0.5, k_off=5, channels=3)
+        )
+        store = ParamStore(seed=1)
+        init_fusion_params(store, fusion)
+        expected = fusion_forward(a, b, fusion, store.nodes())
         assert np.array_equal(fmp.read_map(out), expected.value)
 
     def test_same_inputs_same_checksum(self, tmp_path, capsys):
@@ -134,7 +150,7 @@ class TestPipeline:
         assert code == 0
         code, infer_out, _ = run(
             capsys, "infer", "--data", str(data / "index.txt"),
-            "--params", str(rundir / "params.pst"), "--protos", str(rundir / "protos.fmp"),
+            "--params", str(rundir / "params.pst"), "--protos", str(rundir / "protos.pst"),
             "--out", str(dets), "--config", cfg,
         )
         assert code == 0
@@ -147,8 +163,7 @@ class TestPipeline:
 
     def test_end_to_end_through_files(self, tmp_path, capsys):
         data, rundir, dets, outs = self.run_pipeline(tmp_path, capsys, "0")
-        assert (rundir / "params.pst").exists()
-        assert (rundir / "protos.fmp").exists()
+        assert sorted(p.name for p in rundir.iterdir()) == ["log.txt", "params.pst", "protos.pst"]
         assert len((rundir / "log.txt").read_text().splitlines()) == 4
         assert "nAP50" in outs[3]
         # every command echoes its resolved configuration
@@ -159,7 +174,7 @@ class TestPipeline:
     def test_same_seed_byte_identical_artifacts(self, tmp_path, capsys):
         _, run_a, dets_a, _ = self.run_pipeline(tmp_path, capsys, "A")
         _, run_b, dets_b, _ = self.run_pipeline(tmp_path, capsys, "B")
-        for name in ("params.pst", "protos.fmp", "log.txt"):
+        for name in ("params.pst", "protos.pst", "log.txt"):
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
         assert dets_a.read_bytes() == dets_b.read_bytes()
 
@@ -189,7 +204,7 @@ class TestPipeline:
         data, rundir, _, _ = self.run_pipeline(tmp_path, capsys, "C")
         code, _, err = run(
             capsys, "infer", "--data", str(data / "index.txt"),
-            "--params", str(rundir / "params.pst"), "--protos", str(rundir / "protos.fmp"),
+            "--params", str(rundir / "params.pst"), "--protos", str(rundir / "protos.pst"),
             "--out", str(tmp_path / "o.txt"), "--ids", "ghost",
         )
         assert code == 2 and "ghost" in err
@@ -197,7 +212,7 @@ class TestPipeline:
     def infer(self, capsys, tmp_path, data, rundir, params):
         return run(
             capsys, "infer", "--data", str(data / "index.txt"),
-            "--params", str(params), "--protos", str(rundir / "protos.fmp"),
+            "--params", str(params), "--protos", str(rundir / "protos.pst"),
             "--out", str(tmp_path / "o.txt"), "--config", write_cfg(tmp_path),
         )
 
@@ -229,6 +244,76 @@ class TestPipeline:
         fmp.write_map(target, x)
         code, _, err = self.infer(capsys, tmp_path, data, rundir, rundir / "params.pst")
         assert code == 3 and "non-finite" in err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(data dir, run dir, config path) of one small trained run."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "run.cfg"
+    cfg.write_text(TINY_CFG)
+    data, rundir = root / "data", root / "run"
+    assert main(["gen", "--out", str(data), "--seed", "0", "--config", str(cfg)]) == 0
+    assert main(
+        ["train", "--data", str(data / "index.txt"), "--out", str(rundir), "--seed", "0", "--config", str(cfg)]
+    ) == 0
+    return data, rundir, str(cfg)
+
+
+class TestCorruptPrototypes:
+    """Every malformed prototype file exits with its documented code."""
+
+    def infer(self, capsys, trained, protos):
+        data, rundir, cfg = trained
+        return run(
+            capsys, "infer", "--data", str(data / "index.txt"), "--params", str(rundir / "params.pst"),
+            "--protos", str(protos), "--out", str(protos.parent / "o.txt"), "--config", cfg,
+        )
+
+    def test_every_truncation_exits_2(self, tmp_path, capsys, trained):
+        raw = (trained[1] / "protos.pst").read_bytes()
+        cut = tmp_path / "cut.pst"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            code, _, err = self.infer(capsys, trained, cut)
+            assert code == 2, (n, err)
+
+    @pytest.mark.parametrize(
+        "arrays, code, message",
+        [
+            ({"prototypes": "P"}, 2, "missing class_ids"),
+            ({"prototypes": "P", "class_ids": [0.0, 0.5]}, 2, "not all integers"),
+            ({"prototypes": "P", "class_ids": [1.0, 1.0]}, 2, "duplicate class ids"),
+            ({"prototypes": "P3", "class_ids": [0.0, 1.0]}, 2, "must be (C, D)"),
+            ({"prototypes": "P", "class_ids": [0.0, 1.0, 2.0]}, 2, "2 prototype rows"),
+            ({"prototypes": "P", "class_ids": [0.0, np.nan]}, 3, "non-finite"),
+            ({"prototypes": "P_nan", "class_ids": [0.0, 1.0]}, 3, "non-finite"),
+            ({"prototypes": "P_inf", "class_ids": [0.0, 1.0]}, 3, "non-finite"),
+        ],
+        ids=[
+            "no-class-ids", "fractional-id", "duplicate-ids", "rank-3", "extra-id", "nan-id", "nan-value", "inf-value",
+        ],
+    )
+    def test_bad_store_exits(self, tmp_path, capsys, trained, arrays, code, message):
+        protos = ParamStore.load(trained[1] / "protos.pst").array("prototypes")
+        bad_nan, bad_inf = protos.copy(), protos.copy()
+        bad_nan[1, 2], bad_inf[0, 0] = np.nan, -np.inf
+        named = {"P": protos, "P3": protos[None], "P_nan": bad_nan, "P_inf": bad_inf}
+        store = ParamStore(seed=0)
+        for key, value in arrays.items():
+            store.add(key, named[value] if isinstance(value, str) else value)
+        store.save(tmp_path / "bad.pst")
+        got, _, err = self.infer(capsys, trained, tmp_path / "bad.pst")
+        assert got == code and message in err
+
+    def test_old_fmp_format_exits_2(self, tmp_path, capsys, trained):
+        # the earlier format: an FMP map (1, C, D) plus a .classes sidecar
+        protos = ParamStore.load(trained[1] / "protos.pst").array("prototypes")
+        old = tmp_path / "protos.fmp"
+        fmp.write_map(old, protos[None])
+        (tmp_path / "protos.fmp.classes").write_text("0\n1\n")
+        code, _, err = self.infer(capsys, trained, old)
+        assert code == 2 and "magic" in err
 
 
 class TestEval:

@@ -7,11 +7,11 @@ from fusedet.deformable import (
     CDAConfig,
     FusionConfig,
     cda_forward,
-    deformed_coords,
     fuse,
     fusion_forward,
     init_cda_params,
     init_fuse_params,
+    init_fusion_params,
     normalize_coords,
     offset_net,
     reference_grid,
@@ -103,16 +103,6 @@ def cda_oracle(
         np.einsum("oc,chw->ohw", store.array(f"{prefix}.ffn_w2"), hidden)
         + store.array(f"{prefix}.ffn_b2")[:, None, None]
     )
-
-
-def full_store(d: int, cfg: CDAConfig, k: int = 3, seed: int = 0) -> ParamStore:
-    store = ParamStore(seed=seed)
-    init_na_params(store, "na_rgb", d)
-    init_na_params(store, "na_ir", d)
-    init_cda_params(store, "cda_rgb", cfg)
-    init_cda_params(store, "cda_ir", cfg)
-    init_fuse_params(store, "fuse", d)
-    return store
 
 
 class TestReferenceGrid:
@@ -325,10 +315,26 @@ class TestFuse:
 
 
 class TestFusionForward:
+    def test_init_fusion_params_draw_order(self):
+        # the seeded draws, and so every saved store, depend on this order
+        d = 3
+        cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=d))
+        store = ParamStore(seed=4)
+        init_fusion_params(store, cfg)
+        want = ParamStore(seed=4)
+        init_na_params(want, "na_rgb", d)
+        init_na_params(want, "na_ir", d)
+        init_cda_params(want, "cda_rgb", cfg.cda)
+        init_cda_params(want, "cda_ir", cfg.cda)
+        init_fuse_params(want, "fuse", d)
+        assert store.keys() == want.keys()
+        assert all(np.array_equal(store.array(k), want.array(k)) for k in want.keys())
+
     def test_shape_preserved(self):
         d = 4
         cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=5, channels=d))
-        store = full_store(d, cfg.cda, seed=0)
+        store = ParamStore(seed=0)
+        init_fusion_params(store, cfg)
         rng = np.random.default_rng(7)
         out = fusion_forward(rng.standard_normal((d, 8, 8)), rng.standard_normal((d, 8, 8)), cfg, store.nodes())
         assert out.value.shape == (d, 8, 8)
@@ -336,7 +342,8 @@ class TestFusionForward:
     def test_zeroed_branches_reduce_to_selector(self):
         d = 3
         cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=d))
-        store = full_store(d, cfg.cda, seed=1)
+        store = ParamStore(seed=1)
+        init_fusion_params(store, cfg)
         for key in store.keys():
             if key != "fuse.w":
                 store.set_array(key, np.zeros_like(store.array(key)))
@@ -352,7 +359,8 @@ class TestFusionForward:
     def test_matches_composed_oracle(self):
         d = 3
         cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.4, k_off=3, channels=d))
-        store = full_store(d, cfg.cda, seed=2)
+        store = ParamStore(seed=2)
+        init_fusion_params(store, cfg)
         rng = np.random.default_rng(9)
         for prefix in ("cda_rgb", "cda_ir"):
             store.set_array(f"{prefix}.off_w", 0.4 * rng.standard_normal((2, d)))
@@ -373,7 +381,8 @@ class TestFusionForward:
         d = 3
         cda_cfg = CDAConfig(r=2, s=0.5, k_off=3, channels=d)
         cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=cda_cfg)
-        store = full_store(d, cda_cfg, seed=3)
+        store = ParamStore(seed=3)
+        init_fusion_params(store, cfg)
         swapped = ParamStore(seed=99)
         for key in store.keys():
             swap = {"na_rgb": "na_ir", "na_ir": "na_rgb", "cda_rgb": "cda_ir", "cda_ir": "cda_rgb"}
@@ -401,7 +410,8 @@ class TestFusionForward:
         # contrast) and uses a seed whose entries all stay resolvable
         d = 3
         cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=d))
-        store = full_store(d, cfg.cda, seed=2)
+        store = ParamStore(seed=2)
+        init_fusion_params(store, cfg)
         rng = np.random.default_rng(1002)
         for prefix in ("cda_rgb", "cda_ir"):
             store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, d)))
@@ -415,7 +425,7 @@ class TestFusionForward:
         fp_rgb = na_forward(f_rgb, cfg.na, p, "na_rgb").value
         fp_ir = na_forward(f_ir, cfg.na, p, "na_ir").value
         for prefix, kv in (("cda_rgb", fp_ir), ("cda_ir", fp_rgb)):
-            coords = deformed_coords(kv, cfg.cda, p, prefix)
+            coords = reference_grid(4, 4, cfg.cda.r) + offset_net(kv, cfg.cda, p, prefix).value
             px, py = pixel_coords(coords, 4, 4)
             for arr in (px, py):
                 frac = np.abs(arr - np.round(arr))

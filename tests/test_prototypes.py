@@ -339,12 +339,22 @@ class TestAveragePrototypes:
 class TestPrototypeFiles:
     def test_round_trip(self, tmp_path):
         p = make_protos(3, 4, seed=30)
-        path = tmp_path / "protos.fmp"
+        path = tmp_path / "protos.pst"
         save_prototypes(path, p)
         back = load_prototypes(path)
         assert np.array_equal(back.values, p.values)
         assert back.class_ids == p.class_ids
         assert np.array_equal(back.t, p.t)
+
+    def test_one_store_file(self, tmp_path):
+        p = PrototypeSet(s=make_protos(2, 4, seed=31).values, t=task_encodings(2, 4), class_ids=(7, 3))
+        path = tmp_path / "protos.pst"
+        save_prototypes(path, p)
+        assert [q.name for q in tmp_path.iterdir()] == ["protos.pst"]
+        store = ParamStore.load(path)
+        assert sorted(store.keys()) == ["class_ids", "prototypes"]
+        assert np.array_equal(store.array("prototypes"), p.values)
+        assert np.array_equal(store.array("class_ids"), [7.0, 3.0])
 
 
 class TestGradients:

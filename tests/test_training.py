@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fusedet import training
+from fusedet.audit import train_grad_case
 from fusedet.autodiff import grad_check
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, PreconditionError
@@ -20,7 +22,7 @@ from fusedet.training import (
     run_training,
     toy_head,
     _unit_rows_fixed,
-    train_grad_case,
+    support_prototypes,
     train_loss,
 )
 
@@ -450,6 +452,25 @@ class TestInference:
         assert np.array_equal(rgb2, rgb)
         assert np.array_equal(ir2[:2], ir[:2])
         assert np.all(ir2[2:] == 0.0)
+
+    def test_support_prototypes_fuse_each_image_once(self, tmp_path, monkeypatch):
+        index, _, cfg, supports = tiny_setup(tmp_path)
+        # one box per class, both on the same image: that image is fused
+        # once, and the two equal boxes pool to equal prototype rows
+        image_id, box = supports[0].instances[0][0]
+        instances = {0: [(image_id, box)], 1: [(image_id, dataclasses.replace(box, class_id=1))]}
+        fused = []
+        features = training.query_features
+
+        def counting(rgb, ir, *rest):
+            fused.append(rgb)
+            return features(rgb, ir, *rest)
+
+        monkeypatch.setattr(training, "query_features", counting)
+        protos = support_prototypes(index, instances, (0, 1), cfg, init_params(cfg, seed=0).nodes())
+        assert len(fused) == 1
+        assert protos.class_ids == (0, 1)
+        assert np.array_equal(protos.values[0], protos.values[1])
 
     def test_duplicate_support_sets_average_to_themselves(self, tmp_path):
         index, split, cfg, supports = tiny_setup(tmp_path)
