@@ -17,6 +17,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import fmp
 from .audit import GRAD_TOL, gradcheck_cases
 from .autodiff import ParamStore, grad_check
@@ -78,7 +80,7 @@ def cmd_gen(args) -> int:
 
 def _load_params(path, want: ParamStore) -> ParamStore:
     """The parameter store at `path`, checked to hold every key of `want`
-    at the same shape."""
+    at the same shape, and only finite values."""
     store = ParamStore.load(path)
     problems = [f"missing {k}" for k in want.keys() if k not in store]
     problems += [
@@ -88,6 +90,9 @@ def _load_params(path, want: ParamStore) -> ParamStore:
     ]
     if problems:
         raise PreconditionError(f"{path} does not fit the model: {'; '.join(problems)}")
+    bad = [k for k in store.keys() if not np.isfinite(store.array(k)).all()]
+    if bad:
+        raise NumericGuardError(f"{path} holds non-finite values in {', '.join(bad)}")
     return store
 
 
@@ -186,12 +191,13 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     worst_overall = 0.0
     failures = 0
-    for name, store, build in gradcheck_cases(seed, Path(tempfile.mkdtemp(prefix="fusedet-gradcheck-"))):
-        worst = grad_check(build, store)
-        worst_overall = max(worst_overall, worst)
-        ok = worst <= GRAD_TOL
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name} worst_rel_err={worst:.3e}")
+    with tempfile.TemporaryDirectory(prefix="fusedet-gradcheck-") as tmp:
+        for name, store, build in gradcheck_cases(seed, Path(tmp)):
+            worst = grad_check(build, store)
+            worst_overall = max(worst_overall, worst)
+            ok = worst <= GRAD_TOL
+            failures += 0 if ok else 1
+            print(f"{'PASS' if ok else 'FAIL'} {name} worst_rel_err={worst:.3e}")
     if failures:
         raise NumericGuardError(f"{failures} gradient checks exceeded {GRAD_TOL}")
     print(f"all gradients within {GRAD_TOL} (worst {worst_overall:.3e})")

@@ -159,17 +159,6 @@ def gelu(x) -> Node:
     return Node(xv * cdf, (x,), (lambda g: g * (cdf + xv * pdf),))
 
 
-_ACTIVATIONS = {"gelu": gelu, "relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def activation(x, kind: str) -> Node:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise PreconditionError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
 def softmax(x, axis: int) -> Node:
     """Max-subtracted softmax along one axis; rows sum to 1."""
     x = as_node(x)

@@ -1,11 +1,13 @@
 """Episode losses, the toy detection head, the two-stage training loop,
 prototype precomputation, and inference over query pairs.
 
-The head is deliberately small plumbing: per-location class scores come
+The head is deliberately small plumbing: per-location slot logits come
 from cosine alignment between the aggregated query map and the slot
-encodings, gated by a learned objectness channel, and boxes come from a
-pointwise regression of corner offsets against the cell center.  It
-stands in for a full decoder and hides behind this one module.
+encodings, a learned objectness channel supplies the background logit,
+and boxes come from a pointwise regression of corner offsets against the
+cell center.  Training fits the softmax over those logits and inference
+scores with it, through the one `head`.  It stands in for a full decoder
+and hides behind this one module.
 """
 from __future__ import annotations
 
@@ -60,16 +62,22 @@ def _unit_rows_fixed(t: np.ndarray) -> np.ndarray:
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
-def head_cosine_logits(f_cam: Node, t: np.ndarray, alpha: float) -> Node:
-    """Per-location slot logits alpha * cos(feature, slot encoding): (HW, S).
+def head(f_cam: Node, protos: PrototypeSet, params: dict[str, Node], alpha: float) -> tuple[Node, Node]:
+    """Per-location logits (HW, S+1) and corner offsets (HW, 4).
 
-    The feature norm is stabilized with a tiny floor so locations near the
-    zero vector stay differentiable.
+    Slot logits are alpha * cos(feature, slot encoding), with the feature
+    norm stabilized by a tiny floor so locations near the zero vector stay
+    differentiable; the last (background) column is minus the objectness.
     """
+    _, h, w = f_cam.value.shape
     flat = _flatten_map(f_cam)
     sq = (flat * flat).sum(axis=1, keepdims=True) + 1e-12
     fhat = flat / ops.sqrt(sq)
-    return ops.matmul(fhat, as_node(_unit_rows_fixed(t).T)) * alpha
+    slot_logits = ops.matmul(fhat, as_node(_unit_rows_fixed(protos.t).T)) * alpha
+    obj = ops.conv1x1(f_cam, params["head.obj_w"], params["head.obj_b"]).reshape((h * w, 1))
+    logits = ops.concat([slot_logits, -obj], axis=1)
+    reg = _flatten_map(ops.conv1x1(f_cam, params["head.box_w"], params["head.box_b"]))
+    return logits, reg
 
 
 def center_cell(box: SupportBox, h: int, w: int) -> tuple[int, int]:
@@ -122,9 +130,7 @@ def train_loss(
     d, h, w = f_cam.value.shape
     hw, n_slots = h * w, len(episode.slots)
 
-    slot_logits = head_cosine_logits(f_cam, protos.t, cfg.alpha)
-    obj = ops.conv1x1(f_cam, params["head.obj_w"], params["head.obj_b"]).reshape((hw, 1))
-    logits = ops.concat([slot_logits, -obj], axis=1)  # background is the last column
+    logits, reg = head(f_cam, protos, params, cfg.alpha)
     logp = ops.log_softmax(logits, axis=1)
 
     slot_of = {c: s for s, c in enumerate(episode.slots)}
@@ -151,7 +157,6 @@ def train_loss(
         cls = bg_term
 
     if positives:
-        reg = _flatten_map(ops.conv1x1(f_cam, params["head.box_w"], params["head.box_b"]))
         cells = np.array([p for p, _ in positives], dtype=np.int64)
         offsets = np.array(
             [
@@ -192,28 +197,18 @@ def nms(dets: list[Detection], thr: float = 0.5) -> list[Detection]:
 
 
 def toy_head(
-    f_cam: np.ndarray,
+    f_cam: Node | np.ndarray,
     protos: PrototypeSet,
     params: dict[str, Node],
     cfg: ModelConfig,
     image_id: str,
 ) -> list[Detection]:
-    """Decode per-location scores and boxes into thresholded detections,
-    in row-major (cell, slot) order, then suppress overlaps."""
-    d, h, w = f_cam.shape
-    flat = f_cam.transpose(1, 2, 0).reshape(h * w, d)
-    fhat = flat / np.sqrt((flat * flat).sum(axis=1, keepdims=True) + 1e-12)
-    logits = cfg.alpha * fhat @ _unit_rows_fixed(protos.t).T
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    slot_probs = e / e.sum(axis=1, keepdims=True)
-
-    obj_w, obj_b = params["head.obj_w"].value, params["head.obj_b"].value
-    obj = 1.0 / (1.0 + np.exp(-(flat @ obj_w.T + obj_b)))  # (HW, 1)
-    scores = obj * slot_probs
-
-    box_w, box_b = params["head.box_w"].value, params["head.box_b"].value
-    reg = flat @ box_w.T + box_b  # (HW, 4)
+    """Decode the head's per-location posteriors and boxes into thresholded
+    detections, in row-major (cell, slot) order, then suppress overlaps."""
+    logits, reg = head(as_node(f_cam), protos, params, cfg.alpha)
+    scores = ops.softmax(logits, axis=1).value[:, :-1]
+    reg = reg.value
+    h, w = f_cam.shape[1:]
 
     i, j = np.divmod(np.arange(h * w), w)
     cx, cy = j + 0.5, i + 0.5
@@ -264,7 +259,7 @@ def infer(
         )
     f_q = query_features(rgb, ir, cfg, params)
     f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
-    return toy_head(f_cam.value, protos, params, cfg, image_id)
+    return toy_head(f_cam, protos, params, cfg, image_id)
 
 
 def run_training(

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,23 @@ class TestFuse:
         )
         assert code == 2 and "missing na_rgb." in err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_non_finite_exits_3(self, tmp_path, capsys, bad):
+        _, _, pa, pb = small_maps(tmp_path)
+        fusion = FusionConfig(
+            na=NAConfig(k=3, channels=4), cda=CDAConfig(r=2, s=0.5, k_off=5, channels=4)
+        )
+        store = ParamStore(seed=0)
+        init_fusion_params(store, fusion)
+        store.array("cda_rgb.wq")[0, 1] = bad
+        store.save(tmp_path / "bad.pst")
+        code, _, err = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--params", str(tmp_path / "bad.pst"),
+            "--out", str(tmp_path / "o.fmp"),
+        )
+        assert code == 3 and "non-finite" in err and "cda_rgb.wq" in err
+        assert not (tmp_path / "o.fmp").exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         _, _, pa, _ = small_maps(tmp_path)
         code, _, err = run(capsys, "fuse", "--rgb", pa, "--ir", str(tmp_path / "absent.fmp"), "--out", str(tmp_path / "o.fmp"))
@@ -235,6 +254,16 @@ class TestPipeline:
         partial.save(tmp_path / "partial.pst")
         code, _, err = self.infer(capsys, tmp_path, data, rundir, tmp_path / "partial.pst")
         assert code == 2 and "missing head.obj_w" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_params_exit_3(self, tmp_path, capsys, trained, bad):
+        data, rundir, _ = trained
+        store = ParamStore.load(rundir / "params.pst")
+        store.array("head.obj_w")[...] = bad
+        store.save(tmp_path / "bad.pst")
+        code, _, err = self.infer(capsys, tmp_path, data, rundir, tmp_path / "bad.pst")
+        assert code == 3 and "non-finite" in err and "head.obj_w" in err
+        assert not (tmp_path / "o.txt").exists()
 
     def test_non_finite_input_map_exit_3(self, tmp_path, capsys):
         data, rundir, _, _ = self.run_pipeline(tmp_path, capsys, "N")
@@ -368,11 +397,13 @@ class TestSelftest:
 
 
 class TestGradcheck:
-    def test_all_stages_pass(self, capsys):
+    def test_all_stages_pass(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == 0
         for name in ("window-attention", "fusion", "aggregation-and-cosine-loss", "training-loss"):
             assert f"PASS {name}" in out
+        assert list(tmp_path.iterdir()) == []  # the training case's dataset is removed
 
 
 class TestExitCodes:

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fusedet import training
+from fusedet import ops, training
 from fusedet.audit import train_grad_case
-from fusedet.autodiff import grad_check
+from fusedet.autodiff import as_node, grad_check
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, PreconditionError
 from fusedet.evaluation import Box, Detection, iou
@@ -21,7 +21,6 @@ from fusedet.training import (
     precompute_prototypes,
     run_training,
     toy_head,
-    _unit_rows_fixed,
     support_prototypes,
     train_loss,
 )
@@ -71,19 +70,9 @@ def oracle_nms(dets: list[Detection], thr: float = 0.5) -> list[Detection]:
 def oracle_toy_head(f_cam, protos, params, cfg, image_id):
     """Decode per-location scores and boxes into thresholded detections."""
     d, h, w = f_cam.shape
-    flat = f_cam.transpose(1, 2, 0).reshape(h * w, d)
-    fhat = flat / np.sqrt((flat * flat).sum(axis=1, keepdims=True) + 1e-12)
-    logits = cfg.alpha * fhat @ _unit_rows_fixed(protos.t).T
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    slot_probs = e / e.sum(axis=1, keepdims=True)
-
-    obj_w, obj_b = params["head.obj_w"].value, params["head.obj_b"].value
-    obj = 1.0 / (1.0 + np.exp(-(flat @ obj_w.T + obj_b)))  # (HW, 1)
-    scores = obj * slot_probs
-
-    box_w, box_b = params["head.box_w"].value, params["head.box_b"].value
-    reg = flat @ box_w.T + box_b  # (HW, 4)
+    logits, reg = training.head(as_node(f_cam), protos, params, cfg.alpha)
+    scores = ops.softmax(logits, axis=1).value[:, :-1]
+    reg = reg.value
 
     dets: list[Detection] = []
     for p in range(h * w):
@@ -350,6 +339,32 @@ class TestToyHead:
         got = toy_head(f_cam, protos, params, cfg, "q")
         assert got
         assert_same_detections(got, oracle_toy_head(f_cam, protos, params, cfg, "q"))
+
+
+    def test_scores_are_the_training_posterior(self, monkeypatch):
+        # with suppression off and every box a whole cell, each (cell, slot)
+        # yields one candidate, scored by the softmax that train_loss fits
+        cfg = ModelConfig(**TINY_MODEL, score_thr=0.0)
+        rng = np.random.default_rng(5)
+        t = rng.standard_normal((3, 4))
+        protos = PrototypeSet(s=t.copy(), t=t, class_ids=(7, 2, 5))
+        store = init_params(cfg, seed=0)
+        store.set_array("head.obj_w", rng.standard_normal((1, 4)))
+        store.set_array("head.obj_b", rng.normal(0, 2, size=1))
+        store.set_array("head.box_w", np.zeros((4, 4)))
+        store.set_array("head.box_b", np.array([-0.5, -0.5, 0.5, 0.5]))
+        params = store.nodes()
+        f_cam = rng.standard_normal((4, 3, 5))
+        monkeypatch.setattr(training, "nms", lambda dets, thr=0.5: dets)
+        dets = toy_head(f_cam, protos, params, cfg, "q")
+
+        logits, _ = training.head(as_node(f_cam), protos, params, cfg.alpha)
+        posterior = np.exp(ops.log_softmax(logits, axis=1).value)
+        assert len(dets) == 3 * 5 * 3
+        for d in dets:
+            cell = int(d.box.y1) * 5 + int(d.box.x1)
+            slot = protos.class_ids.index(d.class_id)
+            assert abs(d.score - posterior[cell, slot]) <= 1e-12
 
 
 class TestRunTraining:
