@@ -22,7 +22,7 @@ import numpy as np
 from . import fmp
 from .audit import GRAD_TOL, gradcheck_cases
 from .autodiff import ParamStore, grad_check
-from .config import build_section, build_split, load_config_file, resolved_lines
+from .config import build_section, build_split, load_config_file, parse_class_ids, resolved_lines
 from .data import SplitSpec, build_supports, load_index
 from .deformable import FUSE_MODES, CDAConfig, FusionConfig, fuse, init_fusion_params
 from .errors import (
@@ -167,7 +167,7 @@ def cmd_eval(args) -> int:
     _echo(model, train, synth, split)
     dets = read_detections(args.dets)
     gts = read_ground_truths(args.gts)
-    novel = [int(t) for t in args.novel.replace(",", " ").split()]
+    novel = parse_class_ids(args.novel, "--novel")
     for c in novel:
         print(f"AP class={c} {average_precision(dets, gts, c, 0.5):.4f}")
     print(f"nAP50 {nap50(dets, gts, novel):.4f}")

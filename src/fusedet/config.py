@@ -9,10 +9,9 @@ fail loudly.  Every command echoes the resolved configuration, one
 from __future__ import annotations
 
 from dataclasses import fields, replace
-from pathlib import Path
 
 from .data import SplitSpec
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, read_text
 from .model import ModelConfig
 from .synth import SynthConfig
 from .training import TrainConfig
@@ -48,7 +47,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_config_file(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(), source=str(path))
+    return parse_config_text(read_text(path), source=str(path))
 
 
 def _coerce(value: str, target_type: type, key: str):
@@ -77,23 +76,28 @@ def build_section(cls, prefix: str, kv: dict[str, str]):
     return replace(defaults, **updates) if updates else defaults
 
 
+def parse_class_ids(text: str, what: str) -> tuple[int, ...]:
+    """Class ids from a comma- or space-separated list; `what` names the
+    list's source in errors."""
+    toks = text.replace(",", " ").split()
+    if not toks:
+        raise PreconditionError(f"{what}: empty class list")
+    try:
+        return tuple(int(t) for t in toks)
+    except ValueError as exc:
+        raise PreconditionError(f"{what}: cannot read {text!r} as class ids") from exc
+
+
 def build_split(kv: dict[str, str]) -> SplitSpec | None:
     present = [k for k in _SPLIT_KEYS if k in kv]
     if not present:
         return None
     if len(present) == 1:
         raise PreconditionError(f"split needs both {_SPLIT_KEYS[0]} and {_SPLIT_KEYS[1]}")
-
-    def ids(key: str) -> tuple[int, ...]:
-        toks = [t for t in kv[key].replace(",", " ").split() if t]
-        if not toks:
-            raise PreconditionError(f"{key}: empty class list")
-        try:
-            return tuple(int(t) for t in toks)
-        except ValueError as exc:
-            raise PreconditionError(f"{key}: cannot read {kv[key]!r} as class ids") from exc
-
-    return SplitSpec(base_classes=ids("split.base"), novel_classes=ids("split.novel"))
+    return SplitSpec(
+        base_classes=parse_class_ids(kv["split.base"], "split.base"),
+        novel_classes=parse_class_ids(kv["split.novel"], "split.novel"),
+    )
 
 
 def resolved_lines(model: ModelConfig, train: TrainConfig, synth: SynthConfig, split: SplitSpec | None) -> list[str]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fmp
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, read_text
 from .prototypes import SupportBox
 
 
@@ -88,7 +88,7 @@ def load_index(path) -> DatasetIndex:
     root = Path(path).resolve().parent
     index = DatasetIndex()
     current: IndexEntry | None = None
-    for n, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, raw in enumerate(read_text(path).splitlines(), start=1):
         text = raw.split("#", 1)[0].rstrip()
         if not text.strip():
             continue

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that reports an undecodable file as a parse error."""
+from pathlib import Path
 
 
 class FusedetError(Exception):
@@ -33,3 +35,12 @@ class DivergenceError(NumericGuardError):
     def __init__(self, step: int, message: str = "loss is not finite"):
         super().__init__(f"{message} at step {step}")
         self.step = step
+
+
+def read_text(path) -> str:
+    """The UTF-8 contents of a text file; an undecodable file is a
+    ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc

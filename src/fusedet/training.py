@@ -18,8 +18,8 @@ import numpy as np
 from . import ops
 from .autodiff import Node, ParamStore, as_node, backward
 from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
-from .errors import DivergenceError, PreconditionError
-from .evaluation import Box, Detection, GroundTruth, box_array, iou_row
+from .errors import DivergenceError, NumericGuardError, PreconditionError
+from .evaluation import Box, Detection, GroundTruth, iou_row
 from .model import ModelConfig, init_params, query_features
 from .prototypes import PrototypeSet, SupportBox, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
 
@@ -171,29 +171,25 @@ def train_loss(
     return meta * tcfg.lambda_meta + cls * tcfg.lambda_cls + box_term * tcfg.lambda_box
 
 
-def nms(dets: list[Detection], thr: float = 0.5) -> list[Detection]:
-    """Greedy same-class suppression within each image at the IoU threshold.
+def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, thr: float = 0.5) -> np.ndarray:
+    """Greedy same-label suppression at the IoU threshold, over one image's
+    (n, 4) boxes, (n,) scores and (n,) integer labels.
 
     Candidates are ranked by descending score, ties in input order.  Each
-    (class, image) group is walked in rank order; a kept box drops every
-    later box of its group whose IoU with it is at least `thr`.  The kept
-    detections come back in rank order.
+    label's candidates are walked in rank order; a kept box drops every
+    later box of its label whose IoU with it is at least `thr`.  Returns
+    the kept row indices in rank order.
     """
-    if not dets:
-        return []
-    scores = np.array([d.score for d in dets])
-    boxes = box_array([d.box for d in dets])
-    group_ids: dict[tuple[int, str], int] = {}
-    group = np.array([group_ids.setdefault((d.class_id, d.image_id), len(group_ids)) for d in dets])
     rank = np.argsort(-scores, kind="stable")
-    by_group = rank[np.argsort(group[rank], kind="stable")]  # each group's candidates, in rank order
-    keep = np.zeros(len(dets), dtype=bool)
-    for rest in np.split(by_group, np.cumsum(np.bincount(group))[:-1]):
+    ranked_labels = labels[rank]
+    keep = np.zeros(len(scores), dtype=bool)
+    for label in np.unique(labels):
+        rest = rank[ranked_labels == label]
         while rest.size:
             top, rest = rest[0], rest[1:]
             keep[top] = True
             rest = rest[iou_row(boxes[top], boxes[rest]) < thr]
-    return [dets[i] for i in rank[keep[rank]]]
+    return rank[keep[rank]]
 
 
 def toy_head(
@@ -204,10 +200,13 @@ def toy_head(
     image_id: str,
 ) -> list[Detection]:
     """Decode the head's per-location posteriors and boxes into thresholded
-    detections, in row-major (cell, slot) order, then suppress overlaps."""
+    candidates, in row-major (cell, slot) order, suppress overlaps, and
+    return the kept detections in rank order."""
     logits, reg = head(as_node(f_cam), protos, params, cfg.alpha)
     scores = ops.softmax(logits, axis=1).value[:, :-1]
     reg = reg.value
+    if not (np.isfinite(scores).all() and np.isfinite(reg).all()):
+        raise NumericGuardError(f"non-finite head output for image {image_id}")
     h, w = f_cam.shape[1:]
 
     i, j = np.divmod(np.arange(h * w), w)
@@ -216,18 +215,14 @@ def toy_head(
     y1 = np.clip(cy + reg[:, 1], 0.0, h)
     x2 = np.clip(cx + reg[:, 2], 0.0, w)
     y2 = np.clip(cy + reg[:, 3], 0.0, h)
-    valid = ~((x1 >= x2) | (y1 >= y2))  # keeps NaN boxes, which Box then rejects
-    cells, slots = np.nonzero(valid[:, None] & (scores >= cfg.score_thr))
-    # one set of corner floats per cell, shared by its slots' boxes: a dense
-    # map keeps tens of thousands of detections alive
-    x1, y1, x2, y2 = x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()
-    dets = [
-        Detection(
-            box=Box(x1[c], y1[c], x2[c], y2[c]), score=score, class_id=protos.class_ids[s], image_id=image_id
-        )
-        for c, s, score in zip(cells.tolist(), slots.tolist(), scores[cells, slots].tolist())
+    cells, slots = np.nonzero(((x1 < x2) & (y1 < y2))[:, None] & (scores >= cfg.score_thr))
+    boxes = np.stack([x1, y1, x2, y2], axis=1)[cells]
+    scores, labels = scores[cells, slots], np.asarray(protos.class_ids)[slots]
+    kept = nms(boxes, scores, labels, 0.5)
+    return [
+        Detection(Box(*box), score, label, image_id)
+        for box, score, label in zip(boxes[kept].tolist(), scores[kept].tolist(), labels[kept].tolist())
     ]
-    return nms(dets, 0.5)
 
 
 def precompute_prototypes(

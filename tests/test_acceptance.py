@@ -345,11 +345,12 @@ def _pipeline(tmp_path, capsys, tag, cfg_text=CFG_8):
 def test_criterion_08_determinism(tmp_path, capsys):
     run_a, dets_a = _pipeline(tmp_path, capsys, "A", CFG_DETERMINISM)
     run_b, dets_b = _pipeline(tmp_path, capsys, "B", CFG_DETERMINISM)
-    assert (run_a / "log.txt").read_bytes() == (run_b / "log.txt").read_bytes()
+    for name in ("params.pst", "protos.pst", "log.txt"):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
     assert dets_a.read_bytes() == dets_b.read_bytes()
     n = len(read_detections(dets_a))
     assert n >= 1, "the compared detection files are empty"
-    report(8, "two train+infer+eval runs, same master seed: "
+    report(8, "two train+infer+eval runs, same master seed: parameters, prototypes, "
               f"training logs and detection files ({n} records) byte-identical")
 
 

@@ -190,13 +190,6 @@ class TestPipeline:
             assert "# resolved configuration" in out
             assert "train.lr = 0.05" in out
 
-    def test_same_seed_byte_identical_artifacts(self, tmp_path, capsys):
-        _, run_a, dets_a, _ = self.run_pipeline(tmp_path, capsys, "A")
-        _, run_b, dets_b, _ = self.run_pipeline(tmp_path, capsys, "B")
-        for name in ("params.pst", "protos.pst", "log.txt"):
-            assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
-        assert dets_a.read_bytes() == dets_b.read_bytes()
-
     def test_train_without_split_exits_2(self, tmp_path, capsys):
         bare = tmp_path / "bare.cfg"
         bare.write_text("synth.classes = 2\nsynth.channels = 4\n")
@@ -380,6 +373,30 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "dets, gts",
+        [
+            ("a 0 0.9 0 0 inf 2\n", "a 0 0 0 2 2\n"),
+            ("a 0 0.9 -inf 0 2 2\n", "a 0 0 0 2 2\n"),
+            ("a 0 0.9 0 0 2 2\n", "a 0 0 0 2 inf\n"),
+        ],
+        ids=["det-inf", "det-minus-inf", "gt-inf"],
+    )
+    def test_non_finite_box_exits_2(self, tmp_path, capsys, dets, gts):
+        dp, gp = tmp_path / "dets.txt", tmp_path / "gts.txt"
+        dp.write_text(dets)
+        gp.write_text(gts)
+        code, _, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "0")
+        assert code == 2 and "non-finite box" in err
+
+    def test_bad_novel_list_exits_2(self, tmp_path, capsys):
+        gp = tmp_path / "gts.txt"
+        write_ground_truths(gp, [GroundTruth(box=Box(0, 0, 2, 2), class_id=0, image_id="a")])
+        dp = tmp_path / "dets.txt"
+        dp.write_text("")
+        code, _, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "x")
+        assert code == 2 and "--novel" in err
+
 
 class TestSelftest:
     def test_pristine_build_all_pass(self, capsys):
@@ -412,6 +429,22 @@ class TestExitCodes:
         bad.write_text("model.wat = 1\n")
         code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--config", str(bad))
         assert code == 2 and "model.wat" in err
+
+    @pytest.mark.parametrize("which", ["config", "index", "detections", "ground truths"])
+    def test_non_utf8_text_file_exits_2(self, tmp_path, capsys, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a 0 0.9 0 0 2 2 \xff\xfe\n")
+        dets, gts = tmp_path / "dets.txt", tmp_path / "gts.txt"
+        dets.write_text("")
+        gts.write_text("a 0 0 0 2 2\n")
+        argv = {
+            "config": ["gen", "--out", str(tmp_path / "d"), "--config", str(bad)],
+            "index": ["infer", "--data", str(bad), "--params", "p", "--protos", "q", "--out", "o"],
+            "detections": ["eval", "--dets", str(bad), "--gts", str(gts), "--novel", "0"],
+            "ground truths": ["eval", "--dets", str(dets), "--gts", str(bad), "--novel", "0"],
+        }[which]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and str(bad) in err and "UTF-8" in err
 
     def test_missing_index_exits_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "infer", "--data", str(tmp_path / "none.txt"),

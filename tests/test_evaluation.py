@@ -88,6 +88,13 @@ class TestBox:
         with pytest.raises(PreconditionError):
             Box(0.0, 2.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "coords", [(0.0, 0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0, 1.0), (0.0, -np.inf, 1.0, np.inf)]
+    )
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(PreconditionError, match="non-finite box"):
+            Box(*coords)
+
     def test_area(self):
         assert Box(1.0, 1.0, 3.0, 4.0).area == 6.0
 

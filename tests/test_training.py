@@ -7,7 +7,7 @@ from fusedet import ops, training
 from fusedet.audit import train_grad_case
 from fusedet.autodiff import as_node, grad_check
 from fusedet.data import SplitSpec, build_supports, sample_episode
-from fusedet.errors import DivergenceError, PreconditionError
+from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
 from fusedet.evaluation import Box, Detection, iou
 from fusedet.model import ModelConfig, init_params
 from fusedet.prototypes import PrototypeSet, task_encodings
@@ -206,57 +206,85 @@ class TestTrainLoss:
         assert grad_check(build, store) <= 1e-6
 
 
+def arrays_of(dets):
+    """One image's detections as nms's (boxes, scores, labels) arrays."""
+    return (
+        np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in dets]).reshape(-1, 4),
+        np.array([d.score for d in dets]),
+        np.array([d.class_id for d in dets], dtype=np.int64),
+    )
+
+
+def nms_dets(dets, thr=0.5):
+    """`nms` over one image's detections, its kept indices mapped back."""
+    return [dets[k] for k in nms(*arrays_of(dets), thr)]
+
+
+def assert_matches_oracle_per_image(dets, thr):
+    for image_id in sorted({d.image_id for d in dets}):
+        mine = [d for d in dets if d.image_id == image_id]
+        assert_same_detections(nms_dets(mine, thr), oracle_nms(mine, thr))
+
+
 class TestNms:
     def test_duplicate_boxes_collapse_to_best(self):
-        kept = nms([det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)])
+        kept = nms_dets([det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)])
         assert len(kept) == 1 and kept[0].score == 0.9
 
     def test_input_order_irrelevant(self):
-        a = nms([det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)])
-        b = nms([det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.8)])
+        a = nms_dets([det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)])
+        b = nms_dets([det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.8)])
         assert a == b
 
     def test_other_class_untouched(self):
-        kept = nms([det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.8, class_id=1)])
-        assert len(kept) == 2
-
-    def test_other_image_untouched(self):
-        kept = nms([det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.8, image_id="b")])
+        kept = nms_dets([det(0, 0, 2, 2, 0.9), det(0, 0, 2, 2, 0.8, class_id=1)])
         assert len(kept) == 2
 
     def test_low_overlap_survives(self):
-        kept = nms([det(0, 0, 2, 2, 0.9), det(1.5, 1.5, 3.5, 3.5, 0.8)])
+        kept = nms_dets([det(0, 0, 2, 2, 0.9), det(1.5, 1.5, 3.5, 3.5, 0.8)])
         assert len(kept) == 2
 
     def test_empty_input(self):
-        assert nms([], 0.5) == [] == oracle_nms([], 0.5)
+        kept = nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64), 0.5)
+        assert kept.shape == (0,) and oracle_nms([], 0.5) == []
 
     def test_iou_exactly_at_threshold_is_suppressed(self):
         a, b = det(0, 0, 2, 2, 0.9), det(0, 0, 2, 1, 0.8)
         assert iou(a.box, b.box) == 0.5
-        assert nms([a, b], 0.5) == [a]
+        assert nms_dets([a, b], 0.5) == [a]
 
     def test_touching_boxes_both_kept(self):
         a, b = det(0, 0, 1, 1, 0.9), det(1, 0, 2, 1, 0.9)
         assert iou(a.box, b.box) == 0.0
-        assert nms([a, b], 0.01) == oracle_nms([a, b], 0.01) == [a, b]
+        assert nms_dets([a, b], 0.01) == oracle_nms([a, b], 0.01) == [a, b]
 
     def test_kept_in_global_score_order(self):
-        dets = [det(0, 0, 1, 1, 0.2, image_id="b"), det(0, 0, 1, 1, 0.7, class_id=1), det(3, 3, 4, 4, 0.5)]
-        assert nms(dets) == [dets[1], dets[2], dets[0]]
+        dets = [det(0, 0, 1, 1, 0.2, class_id=2), det(0, 0, 1, 1, 0.7, class_id=1), det(3, 3, 4, 4, 0.5)]
+        assert nms_dets(dets) == [dets[1], dets[2], dets[0]]
+
+    def test_indices_in_rank_order(self):
+        # descending score across labels, ties in input order
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            x1, y1 = rng.uniform(0, 10, size=(2, n))
+            boxes = np.stack([x1, y1, x1 + 1.0, y1 + 1.0], axis=1)
+            scores = rng.choice([0.2, 0.5, 0.9], size=n)
+            kept = nms(boxes, scores, rng.integers(0, 3, size=n), 0.5)
+            assert np.all(np.diff(scores[kept]) <= 0)
+            ties = np.diff(scores[kept]) == 0
+            assert np.all(np.diff(kept)[ties] > 0)
 
     @pytest.mark.parametrize("thr", [0.0, 0.3, 0.5, 0.7])
     def test_matches_greedy_oracle_on_grid_boxes(self, thr):
         rng = np.random.default_rng(int(thr * 10))
         for _ in range(60):
-            dets = grid_detections(rng, int(rng.integers(0, 40)))
-            assert_same_detections(nms(dets, thr), oracle_nms(dets, thr))
+            assert_matches_oracle_per_image(grid_detections(rng, int(rng.integers(0, 40))), thr)
 
     def test_matches_greedy_oracle_on_continuous_boxes(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
-            dets = continuous_detections(rng, int(rng.integers(0, 120)))
-            assert_same_detections(nms(dets, 0.5), oracle_nms(dets, 0.5))
+            assert_matches_oracle_per_image(continuous_detections(rng, int(rng.integers(0, 120))), 0.5)
 
 
 class TestToyHead:
@@ -340,6 +368,20 @@ class TestToyHead:
         assert got
         assert_same_detections(got, oracle_toy_head(f_cam, protos, params, cfg, "q"))
 
+    @pytest.mark.parametrize("bad", ["nan-cell", "nan-map", "inf-box"])
+    def test_non_finite_output_raises(self, bad):
+        cfg = ModelConfig(**TINY_MODEL, score_thr=0.0)
+        rng = np.random.default_rng(6)
+        protos = PrototypeSet(s=rng.standard_normal((2, 4)), t=rng.standard_normal((2, 4)), class_ids=(0, 1))
+        box_b = (-1.0, -1.0, np.inf, 1.0) if bad == "inf-box" else (-1.0, -1.0, 1.0, 1.0)
+        params = self.head_params(init_params(cfg, seed=0), 0.0, box_b)
+        f_cam = rng.standard_normal((4, 4, 4))
+        if bad == "nan-cell":
+            f_cam[:, 1, 2] = np.nan
+        elif bad == "nan-map":
+            f_cam[:] = np.nan
+        with pytest.raises(NumericGuardError, match="non-finite"):
+            toy_head(f_cam, protos, params, cfg, "q")
 
     def test_scores_are_the_training_posterior(self, monkeypatch):
         # with suppression off and every box a whole cell, each (cell, slot)
@@ -355,7 +397,7 @@ class TestToyHead:
         store.set_array("head.box_b", np.array([-0.5, -0.5, 0.5, 0.5]))
         params = store.nodes()
         f_cam = rng.standard_normal((4, 3, 5))
-        monkeypatch.setattr(training, "nms", lambda dets, thr=0.5: dets)
+        monkeypatch.setattr(training, "nms", lambda boxes, scores, labels, thr=0.5: np.arange(len(scores)))
         dets = toy_head(f_cam, protos, params, cfg, "q")
 
         logits, _ = training.head(as_node(f_cam), protos, params, cfg.alpha)
