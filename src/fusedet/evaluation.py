@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite
+from math import inf
 
 import numpy as np
 
@@ -24,10 +24,10 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise PreconditionError(f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
-        if not (isfinite(self.x1) and isfinite(self.y1) and isfinite(self.x2) and isfinite(self.y2)):
-            raise PreconditionError(f"non-finite box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        if not (-inf < self.x1 < self.x2 < inf and -inf < self.y1 < self.y2 < inf):
+            raise PreconditionError(
+                f"degenerate or non-finite box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+            )
 
     @property
     def area(self) -> float:
