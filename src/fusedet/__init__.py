@@ -19,7 +19,6 @@ from .model import ModelConfig, init_params, query_features
 from .neighborhood import NAConfig, na_forward
 from .prototypes import (
     PrototypeSet,
-    SupportBox,
     average_prototypes,
     cam_forward,
     cosine_ce_loss,
@@ -52,7 +51,6 @@ __all__ = [
     "PrototypeSet",
     "ShapeError",
     "SplitSpec",
-    "SupportBox",
     "SupportSet",
     "SynthConfig",
     "TrainConfig",

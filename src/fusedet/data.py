@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fmp
 from .errors import ParseError, PreconditionError, read_text
-from .prototypes import SupportBox
+from .evaluation import Box, GroundTruth
 
 
 @dataclass
@@ -26,7 +26,7 @@ class IndexEntry:
     image_id: str
     rgb_path: Path
     ir_path: Path
-    boxes: list[SupportBox]
+    boxes: list[GroundTruth]
     condition: str = ""
 
 
@@ -50,14 +50,9 @@ class DatasetIndex:
             self._cache[image_id] = (fmp.read_map(entry.rgb_path), fmp.read_map(entry.ir_path))
         return self._cache[image_id]
 
-    def instances(self, class_id: int) -> list[tuple[str, SupportBox]]:
-        """Every (image_id, box) of one class, in index order."""
-        out = []
-        for entry in self.entries.values():
-            for box in entry.boxes:
-                if box.class_id == class_id:
-                    out.append((entry.image_id, box))
-        return out
+    def instances(self, class_id: int) -> list[GroundTruth]:
+        """Every annotated box of one class, in index order."""
+        return [g for entry in self.entries.values() for g in entry.boxes if g.class_id == class_id]
 
     def class_ids(self) -> list[int]:
         seen = sorted({b.class_id for e in self.entries.values() for b in e.boxes})
@@ -73,8 +68,8 @@ def save_index(path, index: DatasetIndex) -> None:
             ir = _relative(entry.ir_path, root)
             tail = f" {entry.condition}" if entry.condition else ""
             fh.write(f"{entry.image_id} {rgb} {ir}{tail}\n")
-            for b in entry.boxes:
-                fh.write(f"    box {b.class_id} {b.x1!r} {b.y1!r} {b.x2!r} {b.y2!r}\n")
+            for g in entry.boxes:
+                fh.write(f"    box {g.class_id} {g.box.x1!r} {g.box.y1!r} {g.box.x2!r} {g.box.y2!r}\n")
 
 
 def _relative(p: Path, root: Path) -> str:
@@ -100,13 +95,9 @@ def load_index(path) -> DatasetIndex:
             if tok[0] != "box" or len(tok) != 6:
                 raise ParseError(f"expected 'box class_id x1 y1 x2 y2', got {text.strip()!r}", line=n)
             try:
-                class_id = int(tok[1])
-                x1, y1, x2, y2 = (float(t) for t in tok[2:])
+                current.boxes.append(GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), current.image_id))
             except ValueError as exc:
                 raise ParseError(str(exc), line=n) from exc
-            if not (x1 < x2 and y1 < y2):
-                raise ParseError(f"degenerate box ({x1}, {y1}, {x2}, {y2})", line=n)
-            current.boxes.append(SupportBox(x1, y1, x2, y2, class_id))
         else:
             if len(tok) not in (3, 4):
                 raise ParseError(f"expected 'image_id rgb_path ir_path [condition]', got {text!r}", line=n)
@@ -149,15 +140,15 @@ class SplitSpec:
 class SupportSet:
     seed_index: int
     k: int
-    instances: dict[int, list[tuple[str, SupportBox]]]
+    instances: dict[int, list[GroundTruth]]
 
     def __post_init__(self) -> None:
         for c, items in self.instances.items():
             if len(items) != self.k:
                 raise PreconditionError(f"class {c} has {len(items)} support instances, need {self.k}")
 
-    def contains(self, class_id: int, image_id: str, box: SupportBox) -> bool:
-        return (image_id, box) in self.instances.get(class_id, [])
+    def contains(self, record: GroundTruth) -> bool:
+        return record in self.instances.get(record.class_id, [])
 
 
 def build_supports(
@@ -188,9 +179,9 @@ def build_supports(
 @dataclass
 class Episode:
     slots: tuple[int, ...]  # dataset class id per slot
-    support: dict[int, list[tuple[str, SupportBox]]]  # class id -> sampled instances
+    support: dict[int, list[GroundTruth]]  # class id -> sampled instances
     query_id: str
-    query_gts: list[SupportBox]  # restricted to slot classes
+    query_gts: list[GroundTruth]  # restricted to slot classes
 
     def __post_init__(self) -> None:
         if len(set(self.slots)) != len(self.slots):
@@ -205,9 +196,8 @@ def _novel_safe(entry: IndexEntry, slots, split: SplitSpec, support_set: Support
     support draw; otherwise fine-tuning would see unlabeled-by-K evidence."""
     if support_set is None:
         return True
-    for box in entry.boxes:
-        c = box.class_id
-        if c in slots and c in split.novel_classes and not support_set.contains(c, entry.image_id, box):
+    for g in entry.boxes:
+        if g.class_id in slots and g.class_id in split.novel_classes and not support_set.contains(g):
             return False
     return True
 
@@ -239,7 +229,7 @@ def sample_episode(
     t = min(t_max, len(eligible))
     slots = tuple(int(eligible[j]) for j in rng.choice(len(eligible), size=t, replace=False))
 
-    support: dict[int, list[tuple[str, SupportBox]]] = {}
+    support: dict[int, list[GroundTruth]] = {}
     for c in slots:
         if stage == "finetune" and c in split.novel_classes:
             pool = support_set.instances[c]

@@ -48,6 +48,9 @@ class Detection:
 
 @dataclass(frozen=True, slots=True)
 class GroundTruth:
+    """One annotated box: the record of index entries, support draws,
+    episodes and ground-truth files."""
+
     box: Box
     class_id: int
     image_id: str
@@ -172,42 +175,25 @@ def _record_lines(path) -> list[tuple[int, list[str]]]:
     return out
 
 
-def read_detections(path) -> list[Detection]:
-    dets = []
+def _read_records(path, n_fields: int, build) -> list:
+    """`build(tokens)` for each record line; a wrong field count or a
+    rejected value is a ParseError with the line number."""
+    out = []
     for n, tok in _record_lines(path):
-        if len(tok) != 7:
-            raise ParseError(f"expected 7 fields, got {len(tok)}", line=n)
+        if len(tok) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {len(tok)}", line=n)
         try:
-            dets.append(
-                Detection(
-                    box=Box(float(tok[3]), float(tok[4]), float(tok[5]), float(tok[6])),
-                    score=float(tok[2]),
-                    class_id=int(tok[1]),
-                    image_id=tok[0],
-                )
-            )
-        except ParseError:
-            raise
+            out.append(build(tok))
         except (ValueError, FusedetError) as exc:
             raise ParseError(str(exc), line=n) from exc
-    return dets
+    return out
+
+
+def read_detections(path) -> list[Detection]:
+    return _read_records(
+        path, 7, lambda tok: Detection(Box(*map(float, tok[3:])), float(tok[2]), int(tok[1]), tok[0])
+    )
 
 
 def read_ground_truths(path) -> list[GroundTruth]:
-    gts = []
-    for n, tok in _record_lines(path):
-        if len(tok) != 6:
-            raise ParseError(f"expected 6 fields, got {len(tok)}", line=n)
-        try:
-            gts.append(
-                GroundTruth(
-                    box=Box(float(tok[2]), float(tok[3]), float(tok[4]), float(tok[5])),
-                    class_id=int(tok[1]),
-                    image_id=tok[0],
-                )
-            )
-        except ParseError:
-            raise
-        except (ValueError, FusedetError) as exc:
-            raise ParseError(str(exc), line=n) from exc
-    return gts
+    return _read_records(path, 6, lambda tok: GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), tok[0]))

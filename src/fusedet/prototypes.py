@@ -17,23 +17,7 @@ from . import ops
 from .autodiff import Node, ParamStore, as_node
 from .deformable import normalize_coords
 from .errors import NumericGuardError, PreconditionError, ShapeError
-
-
-@dataclass(frozen=True)
-class SupportBox:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    class_id: int
-
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise PreconditionError(f"degenerate box {self}")
-
-    def validate(self, h: int, w: int) -> None:
-        if self.x1 < 0 or self.y1 < 0 or self.x2 > w or self.y2 > h:
-            raise PreconditionError(f"box {self} exceeds map extent ({h}, {w})")
+from .evaluation import Box
 
 
 @dataclass
@@ -72,8 +56,8 @@ def task_encodings(c: int, d: int) -> np.ndarray:
     return t
 
 
-def roi_align(x, box: SupportBox, out: int = 7, sampling: int = 2) -> Node:
-    """Pool a box to an (D, out, out) grid.
+def roi_align(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
+    """Pool a box, which must lie inside the map, to an (D, out, out) grid.
 
     Each bin averages sampling x sampling bilinear reads at regular
     sub-bin centers; continuous box coords shift by -0.5 onto the pixel
@@ -84,7 +68,8 @@ def roi_align(x, box: SupportBox, out: int = 7, sampling: int = 2) -> Node:
     if x.value.ndim != 3:
         raise ShapeError(f"feature map must be 3-d, got {x.value.shape}")
     d, h, w = x.value.shape
-    box.validate(h, w)
+    if box.x1 < 0 or box.y1 < 0 or box.x2 > w or box.y2 > h:
+        raise PreconditionError(f"box {box} exceeds map extent ({h}, {w})")
     if out < 1 or sampling < 1:
         raise PreconditionError(f"output side {out} and sampling rate {sampling} must be positive")
 
@@ -104,7 +89,7 @@ def roi_align(x, box: SupportBox, out: int = 7, sampling: int = 2) -> Node:
     return sampled.reshape((d, out, out, sampling * sampling)).mean(axis=3)
 
 
-def roi_vector(x, box: SupportBox, out: int = 7, sampling: int = 2) -> Node:
+def roi_vector(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
     """roi_align followed by global averaging: one D-vector per box."""
     return roi_align(x, box, out, sampling).mean(axis=(1, 2))
 
@@ -112,17 +97,17 @@ def roi_vector(x, box: SupportBox, out: int = 7, sampling: int = 2) -> Node:
 def extract_prototypes(
     supports, classes, out: int = 7, sampling: int = 2
 ) -> PrototypeSet:
-    """Build one prototype per class from (feature_map, [SupportBox]) pairs.
+    """Build one prototype per class from (feature_map, [GroundTruth]) pairs.
 
     Row order follows `classes`; every listed class needs at least one box.
     """
     classes = tuple(int(c) for c in classes)
     per_class: dict[int, list[Node]] = {c: [] for c in classes}
-    for feat, boxes in supports:
+    for feat, records in supports:
         feat = as_node(feat)
-        for box in boxes:
-            if box.class_id in per_class:
-                per_class[box.class_id].append(roi_vector(feat, box, out, sampling))
+        for record in records:
+            if record.class_id in per_class:
+                per_class[record.class_id].append(roi_vector(feat, record.box, out, sampling))
     rows = []
     for c in classes:
         vecs = per_class[c]

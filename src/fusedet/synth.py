@@ -15,7 +15,6 @@ from . import fmp
 from .data import DatasetIndex, IndexEntry, save_index
 from .errors import PreconditionError
 from .evaluation import Box, GroundTruth, write_ground_truths
-from .prototypes import SupportBox
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def informative_channels(class_id: int, channels: int) -> tuple[int, int]:
     return rgb_channel(class_id), ir_channel(class_id, channels)
 
 
-def _blob(h: int, w: int, box: SupportBox, amplitude: float) -> np.ndarray:
+def _blob(h: int, w: int, box: Box, amplitude: float) -> np.ndarray:
     """Gaussian bump centered in the box, sigma a quarter of each side."""
     cy = (box.y1 + box.y2) / 2.0 - 0.5
     cx = (box.x1 + box.x2) / 2.0 - 0.5
@@ -77,8 +76,10 @@ def _blob(h: int, w: int, box: SupportBox, amplitude: float) -> np.ndarray:
     return amplitude * np.exp(-0.5 * (((ii - cy) / sy) ** 2 + ((jj - cx) / sx) ** 2))
 
 
-def render_pair(cfg: SynthConfig, boxes: list[SupportBox], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Noise background plus one blob per box per modality.
+def render_pair(
+    cfg: SynthConfig, records: list[GroundTruth], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noise background plus one blob per annotated box per modality.
 
     Both maps carry all D channels so they feed the same pipeline; signal
     lives only in channels [0, D/2) of the color map and [D/2, D) of the
@@ -88,19 +89,19 @@ def render_pair(cfg: SynthConfig, boxes: list[SupportBox], rng: np.random.Genera
     shape = (cfg.channels, cfg.height, cfg.width)
     rgb = cfg.noise * rng.standard_normal(shape)
     ir = cfg.noise * rng.standard_normal(shape)
-    for box in boxes:
-        bump = _blob(cfg.height, cfg.width, box, cfg.amplitude)
-        rgb[rgb_channel(box.class_id)] += bump
-        ir[ir_channel(box.class_id, cfg.channels)] += bump
+    for record in records:
+        bump = _blob(cfg.height, cfg.width, record.box, cfg.amplitude)
+        rgb[rgb_channel(record.class_id)] += bump
+        ir[ir_channel(record.class_id, cfg.channels)] += bump
     return rgb, ir
 
 
-def _random_box(cfg: SynthConfig, class_id: int, rng: np.random.Generator) -> SupportBox:
+def _random_box(cfg: SynthConfig, rng: np.random.Generator) -> Box:
     bw = rng.uniform(cfg.min_size, min(cfg.max_size, cfg.width))
     bh = rng.uniform(cfg.min_size, min(cfg.max_size, cfg.height))
     x1 = rng.uniform(0.0, cfg.width - bw)
     y1 = rng.uniform(0.0, cfg.height - bh)
-    return SupportBox(x1, y1, x1 + bw, y1 + bh, class_id)
+    return Box(x1, y1, x1 + bw, y1 + bh)
 
 
 def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "pair") -> DatasetIndex:
@@ -110,24 +111,19 @@ def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 424242))
     index = DatasetIndex()
-    gts: list[GroundTruth] = []
     for i in range(cfg.images):
         image_id = f"{prefix}{i:04d}"
         n_obj = int(rng.integers(1, cfg.max_objects + 1))
-        boxes = []
+        records = []
         for _ in range(n_obj):
             class_id = int(rng.integers(cfg.classes))
-            boxes.append(_random_box(cfg, class_id, rng))
-        rgb, ir = render_pair(cfg, boxes, rng)
+            records.append(GroundTruth(_random_box(cfg, rng), class_id, image_id))
+        rgb, ir = render_pair(cfg, records, rng)
         rgb_path = out / f"{image_id}_rgb.fmp"
         ir_path = out / f"{image_id}_ir.fmp"
         fmp.write_map(rgb_path, rgb)
         fmp.write_map(ir_path, ir)
-        index.add(IndexEntry(image_id=image_id, rgb_path=rgb_path, ir_path=ir_path, boxes=boxes, condition="clean"))
-        gts.extend(
-            GroundTruth(box=Box(b.x1, b.y1, b.x2, b.y2), class_id=b.class_id, image_id=image_id)
-            for b in boxes
-        )
+        index.add(IndexEntry(image_id=image_id, rgb_path=rgb_path, ir_path=ir_path, boxes=records, condition="clean"))
     save_index(out / "index.txt", index)
-    write_ground_truths(out / "gts.txt", gts)
+    write_ground_truths(out / "gts.txt", [g for entry in index.entries.values() for g in entry.boxes])
     return index

@@ -21,7 +21,7 @@ from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
 from .errors import DivergenceError, NumericGuardError, PreconditionError
 from .evaluation import Box, Detection, GroundTruth, iou_row
 from .model import ModelConfig, init_params, query_features
-from .prototypes import PrototypeSet, SupportBox, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
+from .prototypes import PrototypeSet, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def head(f_cam: Node, protos: PrototypeSet, params: dict[str, Node], alpha: floa
     return logits, reg
 
 
-def center_cell(box: SupportBox, h: int, w: int) -> tuple[int, int]:
+def center_cell(box: Box, h: int, w: int) -> tuple[int, int]:
     """The cell containing the box center; pixel (i, j) covers
     [j, j+1) x [i, i+1) in continuous units."""
     cx = (box.x1 + box.x2) / 2.0
@@ -90,25 +90,25 @@ def center_cell(box: SupportBox, h: int, w: int) -> tuple[int, int]:
 
 def support_prototypes(
     index: DatasetIndex,
-    instances: dict[int, list[tuple[str, SupportBox]]],
+    instances: dict[int, list[GroundTruth]],
     classes,
     cfg: ModelConfig,
     params: dict[str, Node],
 ) -> PrototypeSet:
     """One prototype per class, rows in `classes` order.
 
-    `instances` maps each class to its (image_id, box) supports, as
-    `Episode.support` and `SupportSet.instances` do.  Boxes are grouped by
-    image in `classes` order, and each image is fused once.
+    `instances` maps each class to its support records, as
+    `Episode.support` and `SupportSet.instances` do.  Records are grouped
+    by image in `classes` order, and each image is fused once.
     """
-    grouped: dict[str, list[SupportBox]] = {}
+    grouped: dict[str, list[GroundTruth]] = {}
     for c in classes:
-        for image_id, box in instances[c]:
-            grouped.setdefault(image_id, []).append(box)
+        for record in instances[c]:
+            grouped.setdefault(record.image_id, []).append(record)
     supports = []
-    for image_id, boxes in grouped.items():
+    for image_id, records in grouped.items():
         rgb, ir = index.load_pair(image_id)
-        supports.append((query_features(rgb, ir, cfg, params), boxes))
+        supports.append((query_features(rgb, ir, cfg, params), records))
     return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
 
 
@@ -135,11 +135,11 @@ def train_loss(
 
     slot_of = {c: s for s, c in enumerate(episode.slots)}
     targets = np.full(hw, n_slots, dtype=np.int64)
-    positives: list[tuple[int, SupportBox]] = []
+    positives: list[tuple[int, Box]] = []
     for gt in episode.query_gts:
-        i, j = center_cell(gt, h, w)
+        i, j = center_cell(gt.box, h, w)
         targets[i * w + j] = slot_of[gt.class_id]
-        positives.append((i * w + j, gt))
+        positives.append((i * w + j, gt.box))
 
     onehot = np.zeros((hw, n_slots + 1))
     onehot[np.arange(hw), targets] = 1.0
@@ -160,8 +160,8 @@ def train_loss(
         cells = np.array([p for p, _ in positives], dtype=np.int64)
         offsets = np.array(
             [
-                (gt.x1 - (p % w + 0.5), gt.y1 - (p // w + 0.5), gt.x2 - (p % w + 0.5), gt.y2 - (p // w + 0.5))
-                for p, gt in positives
+                (b.x1 - (p % w + 0.5), b.y1 - (p // w + 0.5), b.x2 - (p % w + 0.5), b.y2 - (p // w + 0.5))
+                for p, b in positives
             ]
         )
         box_term = ops.absolute(ops.take(reg, cells) - offsets).mean()
@@ -293,12 +293,8 @@ def run_training(
 
 
 def gts_of(index: DatasetIndex, image_ids) -> list[GroundTruth]:
-    """Index annotations as evaluation records, restricted to some images."""
-    out = []
-    for image_id in image_ids:
-        for b in index.entries[image_id].boxes:
-            out.append(GroundTruth(box=Box(b.x1, b.y1, b.x2, b.y2), class_id=b.class_id, image_id=image_id))
-    return out
+    """The index's annotation records of some images, in the given order."""
+    return [g for image_id in image_ids for g in index.entries[image_id].boxes]
 
 
 def detect_over(

@@ -205,7 +205,7 @@ def test_criterion_06_episodic_contract(tmp_path):
             for c in (0, 1):
                 items = sset.instances[c]
                 assert len(items) == k
-                keys = {(img, b.x1, b.y1, b.x2, b.y2) for img, b in items}
+                keys = {(g.image_id, g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in items}
                 assert len(keys) == k, "support draw repeated an instance"
 
     sset = build_supports(index, split, k=5, n_seeds=1)[0]
@@ -216,11 +216,11 @@ def test_criterion_06_episodic_contract(tmp_path):
         for c in ep.slots:
             if c not in split.novel_classes:
                 continue
-            for img, box in ep.support[c]:
-                leaks += not sset.contains(c, img, box)
-            for box in index.entries[ep.query_id].boxes:
-                if box.class_id == c:
-                    leaks += not sset.contains(c, ep.query_id, box)
+            for record in ep.support[c]:
+                leaks += not sset.contains(record)
+            for record in index.entries[ep.query_id].boxes:
+                if record.class_id == c:
+                    leaks += not sset.contains(record)
     assert leaks == 0
     report(6, "K in {5,10,30} x 10 seeds draw exactly K distinct instances per class; "
               "0 out-of-support novel instances across 1000 fine-tune episodes")

@@ -6,16 +6,20 @@ import pytest
 from fusedet import fmp
 from fusedet.autodiff import ParamStore
 from fusedet.cli import main
+from fusedet.data import load_index
 from fusedet.deformable import CDAConfig, FusionConfig, fusion_forward, init_fusion_params
 from fusedet.evaluation import (
     Box,
     Detection,
     GroundTruth,
+    read_ground_truths,
     write_detections,
     write_ground_truths,
 )
+from fusedet.errors import ParseError
 from fusedet.neighborhood import NAConfig
 from fusedet.selftest import CHECKS
+from fusedet.synth import SynthConfig, generate_synthetic
 
 TINY_CFG = """
 model.channels = 4
@@ -396,6 +400,137 @@ class TestEval:
         dp.write_text("")
         code, _, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "x")
         assert code == 2 and "--novel" in err
+
+
+class TestNonFiniteIndexBox:
+    """A NaN or infinity in an index box is rejected when the index is
+    read, not later as a support (extent check) or as a query target
+    (`center_cell` on an infinite centre)."""
+
+    CFG = "split.base = 0,2\nsplit.novel = 1\ntrain.steps_base = 3\ntrain.steps_finetune = 3\n"
+
+    @pytest.mark.parametrize(
+        "field, value", [(5, "inf"), (2, "-inf"), (5, "nan")], ids=["y2-inf", "x1-minus-inf", "y2-nan"]
+    )
+    def test_train_exits_2_with_line(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CFG)
+        data = tmp_path / "d"
+        assert run(capsys, "gen", "--out", str(data), "--seed", "0", "--config", str(cfg))[0] == 0
+        lines = (data / "index.txt").read_text().splitlines()
+        n = [i for i, line in enumerate(lines) if line.strip().startswith("box 0 ")][2]
+        tok = lines[n].split()
+        tok[field] = value
+        lines[n] = "    " + " ".join(tok)
+        (data / "index.txt").write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "train", "--data", str(data / "index.txt"), "--out", str(tmp_path / "r"),
+            "--seed", "2", "--config", str(cfg),
+        )
+        assert code == 2 and f"line {n + 1}: degenerate or non-finite box" in err
+
+
+INDEX = "img000 img000_rgb.fmp img000_ir.fmp\n    box 0 0.5 0.5 2.5 3.0\n"
+GTS = "img000 0 0.5 0.5 2.5 3.0\n"
+DETS = "img000 0 0.9 0.5 0.5 2.5 3.0\n"
+COORDS = "0.5 0.5 2.5 3.0"
+FILES = pytest.mark.parametrize(
+    "which, text", [("index", INDEX), ("gts", GTS), ("dets", DETS)], ids=["index", "gts", "dets"]
+)
+
+
+def with_coord(line: str, field: int, value: str) -> str:
+    """`line` with the field-th box coordinate replaced by `value`."""
+    coords = COORDS.split()
+    coords[field] = value
+    return line.replace(COORDS, " ".join(coords))
+
+
+class TestCorruptTextInputs:
+    """Index, ground-truth and detection files each exit with their
+    documented code when corrupted: 2 for a malformed record, 1 for an
+    index header naming a missing map."""
+
+    def argv(self, tmp_path, which, text):
+        for name in ("img000_rgb.fmp", "img000_ir.fmp"):
+            fmp.write_map(tmp_path / name, np.zeros((2, 4, 4)))
+        files = {"index": tmp_path / "index.txt", "gts": tmp_path / "gts.txt", "dets": tmp_path / "dets.txt"}
+        files["index"].write_text(INDEX)
+        files["gts"].write_text(GTS)
+        files["dets"].write_text(DETS)
+        files[which].write_bytes(text if isinstance(text, bytes) else text.encode())
+        if which == "index":
+            # the index is parsed before the store is loaded
+            return [
+                "infer", "--data", str(files["index"]), "--params", str(tmp_path / "absent.pst"),
+                "--protos", str(tmp_path / "absent.pst"), "--out", str(tmp_path / "o.txt"),
+            ]
+        return ["eval", "--dets", str(files["dets"]), "--gts", str(files["gts"]), "--novel", "0"]
+
+    @pytest.mark.parametrize(
+        "which, text, line",
+        [
+            ("index", "img000 img000_rgb.fmp img000_ir.fmp\n    box 0 0.5 0.5 2.5\n", 2),
+            ("index", "img000 img000_rgb.fmp img000_ir.fmp\n    box 0.5 0.5 2.5 3.0\n", 2),
+            ("index", "img000 img000_rgb.fmp\n", 1),
+            ("gts", "img000 0 0.5 0.5 2.5\n", 1),
+            ("gts", GTS + "img000 0.5 0.5 2.5 3.0\n", 2),
+            ("dets", "img000 0 0.9 0.5 0.5\n", 1),
+            ("dets", DETS + "img000 0 0.5 0.5 2.5 3.0\n", 2),
+        ],
+        ids=[
+            "index-cut", "index-no-class", "index-header-no-ir", "gts-cut", "gts-no-class", "dets-cut", "dets-no-score",
+        ],
+    )
+    def test_cut_or_dropped_field_exits_2(self, tmp_path, capsys, which, text, line):
+        code, _, err = run(capsys, *self.argv(tmp_path, which, text))
+        assert code == 2 and f"line {line}:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", range(4), ids=["x1", "y1", "x2", "y2"])
+    @FILES
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, which, text, field, value):
+        line = text.count("\n")
+        code, _, err = run(capsys, *self.argv(tmp_path, which, with_coord(text, field, value)))
+        assert code == 2 and f"line {line}: degenerate or non-finite box" in err
+
+    @FILES
+    def test_non_utf8_byte_in_a_later_record_exits_2(self, tmp_path, capsys, which, text):
+        code, _, err = run(capsys, *self.argv(tmp_path, which, text.encode() + b"# caf\xe9\n"))
+        assert code == 2 and "UTF-8" in err
+
+    def test_header_naming_a_missing_map_exits_1(self, tmp_path, capsys):
+        argv = self.argv(tmp_path, "index", INDEX.replace("img000_ir.fmp", "ghost_ir.fmp"))
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "missing modality file" in err and "ghost_ir.fmp" in err
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    cfg = SynthConfig(classes=2, images=4, channels=4, height=4, width=4, max_objects=2, min_size=2.0, max_size=3.0)
+    generate_synthetic(root, cfg, seed=0)
+    return root
+
+
+@pytest.mark.parametrize("name, reader", [("index.txt", load_index), ("gts.txt", read_ground_truths)])
+def test_every_truncation_and_byte_flip_parses_or_raises_parse_error(small_dataset, tmp_path, name, reader):
+    """Each prefix of a generated file, and each single-byte flip of it
+    (xor 0x20), either reads back or raises ParseError (exit 2); an index
+    whose flipped header names a map that is not there raises
+    FileNotFoundError (exit 1).  Nothing else escapes."""
+    raw = (small_dataset / name).read_bytes()
+    for path in small_dataset.glob("*.fmp"):
+        (tmp_path / path.name).symlink_to(path)
+    target = tmp_path / name
+    variants = [raw[:n] for n in range(len(raw))]
+    variants += [raw[:i] + bytes([raw[i] ^ 0x20]) + raw[i + 1 :] for i in range(len(raw))]
+    for data in variants:
+        target.write_bytes(data)
+        try:
+            reader(target)
+        except (ParseError, FileNotFoundError):
+            pass
 
 
 class TestSelftest:

@@ -15,7 +15,7 @@ from fusedet.data import (
     save_index,
 )
 from fusedet.errors import ParseError, PreconditionError
-from fusedet.prototypes import SupportBox
+from fusedet.evaluation import Box, GroundTruth
 
 
 def write_pair(root: Path, image_id: str) -> tuple[Path, Path]:
@@ -36,7 +36,7 @@ def toy_index(class_lists: list[list[int]], root: Path | None = None) -> Dataset
         else:
             rgb, ir = Path(f"{image_id}_rgb.fmp"), Path(f"{image_id}_ir.fmp")
         boxes = [
-            SupportBox(float(j), float(j), float(j + 2), float(j + 2), class_id=c)
+            GroundTruth(Box(float(j), float(j), float(j + 2), float(j + 2)), c, image_id)
             for j, c in enumerate(classes)
         ]
         index.add(IndexEntry(image_id=image_id, rgb_path=rgb, ir_path=ir, boxes=boxes, condition=""))
@@ -51,7 +51,7 @@ class TestDatasetIndex:
 
     def test_instances_in_index_order(self):
         index = toy_index([[0, 1], [1], [0]])
-        ids = [image_id for image_id, _ in index.instances(0)]
+        ids = [g.image_id for g in index.instances(0)]
         assert ids == ["img000", "img002"]
         assert len(index.instances(1)) == 2
 
@@ -86,6 +86,18 @@ class TestIndexFiles:
         with pytest.raises(ParseError) as exc:
             load_index(path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_box_reports_line(self, tmp_path, field, value):
+        write_pair(tmp_path, "img000")
+        coords = ["0.0", "0.0", "2.0", "2.0"]
+        coords[field] = value
+        path = tmp_path / "index.txt"
+        path.write_text(f"img000 img000_rgb.fmp img000_ir.fmp\n    box 0 1 1 2 2\n    box 0 {' '.join(coords)}\n")
+        with pytest.raises(ParseError, match="non-finite box") as exc:
+            load_index(path)
+        assert exc.value.line == 3
 
     def test_box_before_header_rejected(self, tmp_path):
         path = tmp_path / "index.txt"
@@ -178,7 +190,7 @@ class TestBuildSupports:
 
     def test_support_set_validates_count(self):
         with pytest.raises(PreconditionError):
-            SupportSet(seed_index=0, k=2, instances={0: [("a", SupportBox(0, 0, 1, 1, 0))]})
+            SupportSet(seed_index=0, k=2, instances={0: [GroundTruth(Box(0, 0, 1, 1), 0, "a")]})
 
 
 class TestSampleEpisode:
@@ -230,8 +242,8 @@ class TestSampleEpisode:
             ep = sample_episode(index, split, "finetune", rng, support_set=supports[0])
             for c in ep.slots:
                 if c in split.novel_classes:
-                    for image_id, box in ep.support[c]:
-                        assert supports[0].contains(c, image_id, box)
+                    for record in ep.support[c]:
+                        assert supports[0].contains(record)
 
     def test_finetune_queries_leak_no_unsupported_novel_instances(self):
         index, split = self.rich_index(), self.split()
@@ -240,9 +252,9 @@ class TestSampleEpisode:
         for _ in range(100):
             ep = sample_episode(index, split, "finetune", rng, support_set=supports[0])
             slot_set = set(ep.slots)
-            for box in index.entries[ep.query_id].boxes:
-                if box.class_id in slot_set and box.class_id in split.novel_classes:
-                    assert supports[0].contains(box.class_id, ep.query_id, box)
+            for record in index.entries[ep.query_id].boxes:
+                if record.class_id in slot_set and record.class_id in split.novel_classes:
+                    assert supports[0].contains(record)
 
     def test_unknown_stage_rejected(self):
         index, split = self.rich_index(), self.split()

@@ -5,10 +5,10 @@ import pytest
 
 from fusedet.autodiff import ParamStore, grad_check
 from fusedet.errors import NumericGuardError, PreconditionError, ShapeError
+from fusedet.evaluation import Box, GroundTruth
 from fusedet.ops import bilinear_sample, sigmoid
 from fusedet.prototypes import (
     PrototypeSet,
-    SupportBox,
     average_prototypes,
     cam_forward,
     cosine_ce_loss,
@@ -22,7 +22,7 @@ from fusedet.prototypes import (
 )
 
 
-def roi_align_oracle(x: np.ndarray, box: SupportBox, out: int, sampling: int) -> np.ndarray:
+def roi_align_oracle(x: np.ndarray, box: Box, out: int, sampling: int) -> np.ndarray:
     """Enumerate every sub-bin sample point and average per bin."""
     d, h, w = x.shape
     res = np.zeros((d, out, out))
@@ -44,36 +44,34 @@ def roi_align_oracle(x: np.ndarray, box: SupportBox, out: int, sampling: int) ->
     return res
 
 
-class TestSupportBox:
-    def test_degenerate_rejected(self):
-        with pytest.raises(PreconditionError):
-            SupportBox(2.0, 1.0, 2.0, 3.0, class_id=0)
-
-    def test_out_of_bounds_rejected(self):
-        box = SupportBox(0.0, 0.0, 9.0, 3.0, class_id=0)
-        with pytest.raises(PreconditionError):
-            box.validate(8, 8)
-
-    def test_valid_box_passes(self):
-        SupportBox(0.0, 0.0, 8.0, 8.0, class_id=1).validate(8, 8)
+def record(x1, y1, x2, y2, class_id):
+    return GroundTruth(Box(x1, y1, x2, y2), class_id, "a")
 
 
 class TestRoiAlign:
+    def test_out_of_bounds_rejected(self):
+        with pytest.raises(PreconditionError, match="exceeds map extent"):
+            roi_align(np.zeros((1, 8, 8)), Box(0.0, 0.0, 9.0, 3.0))
+
+    def test_box_flush_with_map_edge_passes(self):
+        out = roi_align(np.full((1, 8, 8), 2.0), Box(0.0, 0.0, 8.0, 8.0), out=2, sampling=1)
+        assert np.array_equal(out.value, np.full((1, 2, 2), 2.0))
+
     def test_constant_map_gives_constant_output(self):
         x = np.full((3, 6, 6), 2.5)
-        out = roi_align(x, SupportBox(0.7, 1.3, 5.2, 4.9, class_id=0), out=3, sampling=2)
+        out = roi_align(x, Box(0.7, 1.3, 5.2, 4.9), out=3, sampling=2)
         assert np.allclose(out.value, 2.5, atol=1e-12)
 
     def test_single_pixel_box_reads_that_pixel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, 5))
-        out = roi_align(x, SupportBox(1.0, 1.0, 2.0, 2.0, class_id=0), out=1, sampling=1)
+        out = roi_align(x, Box(1.0, 1.0, 2.0, 2.0), out=1, sampling=1)
         assert np.allclose(out.value[:, 0, 0], x[:, 1, 1], atol=1e-12)
 
     def test_matches_sample_and_average_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 8, 8))
-        box = SupportBox(1.0, 1.0, 5.0, 7.0, class_id=0)
+        box = Box(1.0, 1.0, 5.0, 7.0)
         got = roi_align(x, box, out=2, sampling=2).value
         want = roi_align_oracle(x, box, out=2, sampling=2)
         assert np.abs(got - want).max() <= 1e-12
@@ -81,7 +79,7 @@ class TestRoiAlign:
     def test_larger_grid_matches_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 9, 7))
-        box = SupportBox(0.5, 2.0, 6.5, 8.5, class_id=0)
+        box = Box(0.5, 2.0, 6.5, 8.5)
         got = roi_align(x, box, out=3, sampling=3).value
         want = roi_align_oracle(x, box, out=3, sampling=3)
         assert np.abs(got - want).max() <= 1e-12
@@ -89,7 +87,7 @@ class TestRoiAlign:
     def test_roi_vector_is_global_average(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 8, 8))
-        box = SupportBox(1.0, 1.0, 6.0, 6.0, class_id=0)
+        box = Box(1.0, 1.0, 6.0, 6.0)
         grid = roi_align(x, box, out=4, sampling=2).value
         vec = roi_vector(x, box, out=4, sampling=2).value
         assert np.allclose(vec, grid.mean(axis=(1, 2)), atol=1e-12)
@@ -98,7 +96,7 @@ class TestRoiAlign:
 class TestExtractPrototypes:
     def test_constant_map_prototype(self):
         x = np.full((4, 6, 6), 3.0)
-        supports = [(x, [SupportBox(1.0, 1.0, 4.0, 4.0, class_id=7)])]
+        supports = [(x, [record(1.0, 1.0, 4.0, 4.0, class_id=7)])]
         protos = extract_prototypes(supports, [7])
         assert protos.class_ids == (7,)
         assert np.allclose(protos.values, 3.0, atol=1e-12)
@@ -106,10 +104,10 @@ class TestExtractPrototypes:
     def test_two_boxes_average(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 8, 8))
-        b1 = SupportBox(0.0, 0.0, 4.0, 4.0, class_id=0)
-        b2 = SupportBox(3.0, 3.0, 8.0, 8.0, class_id=0)
+        b1 = record(0.0, 0.0, 4.0, 4.0, class_id=0)
+        b2 = record(3.0, 3.0, 8.0, 8.0, class_id=0)
         protos = extract_prototypes([(x, [b1, b2])], [0])
-        v1, v2 = roi_vector(x, b1).value, roi_vector(x, b2).value
+        v1, v2 = roi_vector(x, b1.box).value, roi_vector(x, b2.box).value
         assert np.allclose(protos.values[0], (v1 + v2) / 2.0, atol=1e-12)
 
     def test_matches_brute_force_over_classes(self):
@@ -122,8 +120,8 @@ class TestExtractPrototypes:
             for c in range(3):
                 x1, y1 = rng.uniform(0, 3, size=2)
                 bw, bh = rng.uniform(2, 4, size=2)
-                box = SupportBox(float(x1), float(y1), float(min(x1 + bw, 8.0)), float(min(y1 + bh, 8.0)), class_id=c)
-                boxes.append(box)
+                box = Box(float(x1), float(y1), float(min(x1 + bw, 8.0)), float(min(y1 + bh, 8.0)))
+                boxes.append(GroundTruth(box, c, "a"))
                 per_class[c].append(roi_vector(m, box).value)
             supports.append((m, boxes))
         protos = extract_prototypes(supports, [0, 1, 2])
@@ -134,15 +132,15 @@ class TestExtractPrototypes:
     def test_box_order_within_class_is_irrelevant(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 8, 8))
-        b1 = SupportBox(0.0, 0.0, 3.0, 3.0, class_id=0)
-        b2 = SupportBox(4.0, 4.0, 8.0, 8.0, class_id=0)
+        b1 = record(0.0, 0.0, 3.0, 3.0, class_id=0)
+        b2 = record(4.0, 4.0, 8.0, 8.0, class_id=0)
         p_ab = extract_prototypes([(x, [b1, b2])], [0])
         p_ba = extract_prototypes([(x, [b2, b1])], [0])
         assert np.allclose(p_ab.values, p_ba.values, atol=1e-12)
 
     def test_missing_class_is_named(self):
         x = np.zeros((2, 4, 4))
-        supports = [(x, [SupportBox(0.0, 0.0, 2.0, 2.0, class_id=0)])]
+        supports = [(x, [record(0.0, 0.0, 2.0, 2.0, class_id=0)])]
         with pytest.raises(PreconditionError, match="class 3"):
             extract_prototypes(supports, [0, 3])
 

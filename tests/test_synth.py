@@ -3,6 +3,7 @@ import pytest
 
 from fusedet.data import load_index
 from fusedet.errors import PreconditionError
+from fusedet.evaluation import GroundTruth
 from fusedet.synth import (
     SynthConfig,
     _random_box,
@@ -41,16 +42,15 @@ class TestRenderPair:
     def test_shapes_match_config(self):
         cfg = SynthConfig(classes=3, channels=8, height=10, width=12)
         rng = np.random.default_rng(0)
-        boxes = [_random_box(cfg, 1, rng)]
-        rgb, ir = render_pair(cfg, boxes, rng)
+        rgb, ir = render_pair(cfg, [GroundTruth(_random_box(cfg, rng), 1, "a")], rng)
         assert rgb.shape == (8, 10, 12)
         assert ir.shape == (8, 10, 12)
 
     def test_signal_confined_to_modality_halves(self):
         cfg = SynthConfig(classes=3, channels=8, height=12, width=12, noise=0.0)
         rng = np.random.default_rng(1)
-        boxes = [_random_box(cfg, c, rng) for c in range(3)]
-        rgb, ir = render_pair(cfg, boxes, rng)
+        records = [GroundTruth(_random_box(cfg, rng), c, "a") for c in range(3)]
+        rgb, ir = render_pair(cfg, records, rng)
         d = cfg.channels
         # rgb signal lives in the low half, ir signal in the high half
         assert np.abs(rgb[d // 2 :]).max() == 0.0
@@ -60,9 +60,10 @@ class TestRenderPair:
         cfg = SynthConfig(classes=3, channels=8, height=12, width=12, max_objects=1, noise=0.0)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            box = _random_box(cfg, seed % cfg.classes, rng)
-            rgb, ir = render_pair(cfg, [box], rng)
-            rgb_ch, ir_ch = informative_channels(box.class_id, cfg.channels)
+            record = GroundTruth(_random_box(cfg, rng), seed % cfg.classes, "a")
+            rgb, ir = render_pair(cfg, [record], rng)
+            rgb_ch, ir_ch = informative_channels(record.class_id, cfg.channels)
+            box = record.box
             for m, ch in ((rgb, rgb_ch), (ir, ir_ch)):
                 i, j = np.unravel_index(np.argmax(np.abs(m[ch])), m[ch].shape)
                 assert box.y1 <= i + 0.5 <= box.y2
@@ -71,8 +72,9 @@ class TestRenderPair:
     def test_random_boxes_inside_map(self):
         cfg = SynthConfig(classes=3, channels=8, height=12, width=12)
         rng = np.random.default_rng(2)
-        for k in range(50):
-            _random_box(cfg, k % cfg.classes, rng).validate(cfg.height, cfg.width)
+        for _ in range(50):
+            box = _random_box(cfg, rng)
+            assert 0 <= box.x1 and 0 <= box.y1 and box.x2 <= cfg.width and box.y2 <= cfg.height
 
 
 class TestGenerateSynthetic:
@@ -124,8 +126,8 @@ class TestGenerateSynthetic:
 
         samples = []
         for image_id in index.image_ids():
-            for b in index.entries[image_id].boxes:
-                samples.append((b.class_id, crop_vector(image_id, b)))
+            for g in index.entries[image_id].boxes:
+                samples.append((g.class_id, crop_vector(image_id, g.box)))
         train, held_out = samples[::2], samples[1::2]
         centroids = {}
         for c in range(cfg.classes):

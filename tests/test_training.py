@@ -514,8 +514,8 @@ class TestInference:
         index, _, cfg, supports = tiny_setup(tmp_path)
         # one box per class, both on the same image: that image is fused
         # once, and the two equal boxes pool to equal prototype rows
-        image_id, box = supports[0].instances[0][0]
-        instances = {0: [(image_id, box)], 1: [(image_id, dataclasses.replace(box, class_id=1))]}
+        record = supports[0].instances[0][0]
+        instances = {0: [record], 1: [dataclasses.replace(record, class_id=1)]}
         fused = []
         features = training.query_features
 
