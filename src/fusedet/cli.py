@@ -24,7 +24,7 @@ from .audit import GRAD_TOL, gradcheck_cases
 from .autodiff import ParamStore, grad_check
 from .config import build_section, build_split, load_config_file, parse_class_ids, resolved_lines
 from .data import SplitSpec, build_supports, load_index
-from .deformable import FUSE_MODES, CDAConfig, FusionConfig, fuse, init_fusion_params
+from .deformable import FUSE_MODES, fuse, init_fusion_params
 from .errors import (
     DivergenceError,
     NumericGuardError,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .evaluation import average_precision, nap50, read_detections, read_ground_truths, write_detections
 from .model import ModelConfig, init_params
-from .neighborhood import NAConfig
 from .prototypes import load_prototypes, save_prototypes
 from .selftest import FAULTS, run_selftests
 from .synth import SynthConfig, generate_synthetic
@@ -101,17 +100,12 @@ def cmd_fuse(args) -> int:
     _echo(model, train, synth, split)
     rgb = fmp.read_map(args.rgb)
     ir = fmp.read_map(args.ir)
-    if rgb.shape != ir.shape:
-        raise ShapeError(f"modality shapes differ: {rgb.shape} vs {ir.shape}")
-    fusion = FusionConfig(
-        na=NAConfig(k=model.na_k, channels=rgb.shape[0]),
-        cda=CDAConfig(r=model.r, s=model.s, k_off=model.k_off, channels=rgb.shape[0]),
-    )
+    fusion = model.fusion_config(rgb.shape[0])
     store = ParamStore(seed=args.seed if args.seed is not None else 0)
     init_fusion_params(store, fusion)
     if args.params:
         store = _load_params(args.params, store)
-    out = fuse(rgb, ir, args.mode, store.nodes(), fusion_cfg=fusion)
+    out = fuse(rgb, ir, args.mode, fusion, store.nodes())
     fmp.write_map(args.out, out.value)
     print(f"shape={out.value.shape} checksum={_checksum(args.out)}")
     return 0

@@ -138,12 +138,10 @@ def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, 
     keys = ops.matmul(params[f"{prefix}.wk"], sampled)
     vals = ops.matmul(params[f"{prefix}.wv"], sampled)
 
-    q = ops.conv1x1(f_query_src, params[f"{prefix}.wq"])
-    qf = q.transpose((1, 2, 0)).reshape((h * w, d))
+    qf = ops.map_to_tokens(ops.conv1x1(f_query_src, params[f"{prefix}.wq"]))
     logits = ops.matmul(qf, keys) * (1.0 / np.sqrt(d))
     attn = ops.softmax(logits, axis=1)  # (HW, N)
-    mixed = ops.matmul(attn, vals.transpose())  # (HW, D)
-    mixed = mixed.reshape((h, w, d)).transpose((2, 0, 1))
+    mixed = ops.tokens_to_map(ops.matmul(attn, vals.transpose()), h, w)
 
     inner = f_query_src + mixed
     hidden = ops.relu(ops.conv1x1(inner, params[f"{prefix}.ffn_w1"], params[f"{prefix}.ffn_b1"]))
@@ -153,25 +151,28 @@ def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, 
 FUSE_MODES = ("cda", "concat", "add")
 
 
-def fuse(f_a, f_b, mode: str, params: dict[str, Node], fusion_cfg: FusionConfig | None = None) -> Node:
-    """Merge two equal-shape maps into one.
+def fuse(rgb, ir, mode: str, cfg: FusionConfig, params: dict[str, Node]) -> Node:
+    """The query map of one color/thermal pair under a fusion mode: the one
+    place a mode is dispatched.
 
-    concat: pointwise conv over the channel-stacked pair.  add: plain sum.
-    cda: the full two-stage pipeline, treating f_a as the color map and
-    f_b as the thermal map.
+    cda: the full two-stage pipeline (fusion_forward).  concat: the
+    thermal-first pointwise mix alone.  add: plain sum.  `cfg` is read by
+    cda only.
     """
-    f_a, f_b = as_node(f_a), as_node(f_b)
-    if f_a.value.shape != f_b.value.shape:
-        raise ShapeError(f"cannot fuse shapes {f_a.value.shape} and {f_b.value.shape}")
-    if mode == "concat":
-        return ops.conv1x1(ops.concat([f_a, f_b], axis=0), params["fuse.w"], params["fuse.b"])
-    if mode == "add":
-        return f_a + f_b
+    if np.shape(rgb) != np.shape(ir):
+        raise ShapeError(f"cannot fuse shapes {np.shape(rgb)} and {np.shape(ir)}")
     if mode == "cda":
-        if fusion_cfg is None:
-            raise PreconditionError("cda fusion needs a FusionConfig")
-        return fusion_forward(f_a, f_b, fusion_cfg, params)
+        return fusion_forward(rgb, ir, cfg, params)
+    if mode == "concat":
+        return _concat_mix(rgb, ir, params)
+    if mode == "add":
+        return as_node(ir) + rgb
     raise PreconditionError(f"unknown fusion mode {mode!r}; expected one of {FUSE_MODES}")
+
+
+def _concat_mix(f_rgb, f_ir, params: dict[str, Node]) -> Node:
+    """Channel-stack thermal first, then mix by the pointwise `fuse` conv."""
+    return ops.conv1x1(ops.concat([f_ir, f_rgb], axis=0), params["fuse.w"], params["fuse.b"])
 
 
 def fusion_forward(f_rgb, f_ir, cfg: FusionConfig, params: dict[str, Node]) -> Node:
@@ -181,4 +182,4 @@ def fusion_forward(f_rgb, f_ir, cfg: FusionConfig, params: dict[str, Node]) -> N
     fp_ir = na_forward(f_ir, cfg.na, params, "na_ir")
     fpp_rgb = cda_forward(f_rgb, fp_rgb, fp_ir, cfg.cda, params, "cda_rgb")
     fpp_ir = cda_forward(f_ir, fp_ir, fp_rgb, cfg.cda, params, "cda_ir")
-    return fuse(fpp_ir, fpp_rgb, "concat", params)
+    return _concat_mix(fpp_rgb, fpp_ir, params)

@@ -33,6 +33,11 @@ class Box:
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
+    def require_within(self, h: int, w: int) -> None:
+        """Reject a box that leaves an (h, w) map's extent [0, w] x [0, h]."""
+        if self.x1 < 0 or self.y1 < 0 or self.x2 > w or self.y2 > h:
+            raise PreconditionError(f"box {self} exceeds map extent ({h}, {w})")
+
 
 @dataclass(frozen=True, slots=True)
 class Detection:

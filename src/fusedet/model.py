@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .autodiff import Node, ParamStore
-from .deformable import FUSE_MODES, CDAConfig, FusionConfig, fuse, fusion_forward, init_fusion_params
+from .deformable import FUSE_MODES, CDAConfig, FusionConfig, fuse, init_fusion_params
 from .errors import PreconditionError
 from .neighborhood import NAConfig
 from .prototypes import GATE_MODES, init_cam_params
@@ -44,10 +44,12 @@ class ModelConfig:
         if not 0 <= self.score_thr <= 1:
             raise PreconditionError(f"score threshold {self.score_thr} outside [0, 1]")
 
-    def fusion_config(self) -> FusionConfig:
+    def fusion_config(self, channels: int | None = None) -> FusionConfig:
+        """The fusion stages' config for maps of `channels` (default: the model's) channels."""
+        d = self.channels if channels is None else channels
         return FusionConfig(
-            na=NAConfig(k=self.na_k, channels=self.channels),
-            cda=CDAConfig(r=self.r, s=self.s, k_off=self.k_off, channels=self.channels),
+            na=NAConfig(k=self.na_k, channels=d),
+            cda=CDAConfig(r=self.r, s=self.s, k_off=self.k_off, channels=d),
         )
 
     def with_updates(self, **kw) -> "ModelConfig":
@@ -69,13 +71,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
 
 
 def query_features(rgb, ir, cfg: ModelConfig, params: dict[str, Node]) -> Node:
-    """The fused query map under the configured fusion mode.
-
-    cda runs the full two-stage pipeline; concat and add are the map-level
-    baselines run through the identical downstream harness.
-    """
-    if cfg.fusion_mode == "cda":
-        return fusion_forward(rgb, ir, cfg.fusion_config(), params)
-    if cfg.fusion_mode == "concat":
-        return fuse(ir, rgb, "concat", params)
-    return fuse(ir, rgb, "add", params)
+    """The fused query map under the configured fusion mode; concat and add
+    are the map-level baselines run through the identical downstream harness."""
+    return fuse(rgb, ir, cfg.fusion_mode, cfg.fusion_config(), params)

@@ -75,10 +75,7 @@ def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
     key = ops.conv1x1(x, params[f"{prefix}.wk"])
     v = ops.conv1x1(x, params[f"{prefix}.wv"])
 
-    def flat(m: Node) -> Node:
-        return m.transpose((1, 2, 0)).reshape((h * w, d))
-
-    qf, kf, vf = flat(q), flat(key), flat(v)
+    qf, kf, vf = ops.map_to_tokens(q), ops.map_to_tokens(key), ops.map_to_tokens(v)
     table = neighbor_table(h, w, cfg.k)
     kn = ops.take(kf, table)  # (HW, k*k, D)
     vn = ops.take(vf, table)
@@ -87,7 +84,7 @@ def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
     logits = (qf.reshape((h * w, 1, d)) * kn).sum(axis=2) * scale
     attn = ops.softmax(logits, axis=1)
     out = (attn.reshape((h * w, cfg.k * cfg.k, 1)) * vn).sum(axis=1)
-    return out.reshape((h, w, d)).transpose((2, 0, 1))
+    return ops.tokens_to_map(out, h, w)
 
 
 def na_oracle(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, k: int) -> np.ndarray:

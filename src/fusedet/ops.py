@@ -233,6 +233,19 @@ def concat(parts, axis: int) -> Node:
     )
 
 
+def map_to_tokens(m) -> Node:
+    """(D, H, W) map -> (H*W, D) tokens, one row per location, row-major."""
+    m = as_node(m)
+    d, h, w = m.value.shape
+    return m.transpose((1, 2, 0)).reshape((h * w, d))
+
+
+def tokens_to_map(t, h: int, w: int) -> Node:
+    """Inverse of map_to_tokens: (H*W, D) tokens -> (D, H, W) map."""
+    t = as_node(t)
+    return t.reshape((h, w, t.value.shape[1])).transpose((2, 0, 1))
+
+
 def pixel_coords(coords_norm: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Align-corners mapping from normalized [-1,1] coords to pixel coords."""
     px = (coords_norm[0] + 1.0) * 0.5 * (w - 1)

@@ -68,8 +68,7 @@ def roi_align(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
     if x.value.ndim != 3:
         raise ShapeError(f"feature map must be 3-d, got {x.value.shape}")
     d, h, w = x.value.shape
-    if box.x1 < 0 or box.y1 < 0 or box.x2 > w or box.y2 > h:
-        raise PreconditionError(f"box {box} exceeds map extent ({h}, {w})")
+    box.require_within(h, w)
     if out < 1 or sampling < 1:
         raise PreconditionError(f"output side {out} and sampling rate {sampling} must be positive")
 
@@ -158,7 +157,7 @@ def cam_forward(
     if protos.s.value.shape[1] != d:
         raise ShapeError(f"prototypes have width {protos.s.value.shape[1]}, map has {d} channels")
 
-    qf = f_q.transpose((1, 2, 0)).reshape((h * w, d))
+    qf = ops.map_to_tokens(f_q)
     proj = params[f"{prefix}.w"]
     scores = ops.matmul(ops.matmul(qf, proj), ops.matmul(protos.s, proj).transpose())
     attn = ops.softmax(scores * (1.0 / np.sqrt(d)), axis=1)  # (HW, C)
@@ -169,7 +168,7 @@ def cam_forward(
 
     hidden = ops.relu(ops.matmul(q_f + q_e, params[f"{prefix}.ffn_w1"]) + params[f"{prefix}.ffn_b1"])
     out = ops.matmul(hidden, params[f"{prefix}.ffn_w2"]) + params[f"{prefix}.ffn_b2"]
-    out = out.reshape((h, w, d)).transpose((2, 0, 1))
+    out = ops.tokens_to_map(out, h, w)
     return (out, attn) if return_attention else out
 
 

@@ -53,11 +53,6 @@ class TrainConfig:
             )
 
 
-def _flatten_map(m: Node) -> Node:
-    d, h, w = m.value.shape
-    return m.transpose((1, 2, 0)).reshape((h * w, d))
-
-
 def _unit_rows_fixed(t: np.ndarray) -> np.ndarray:
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
@@ -70,22 +65,22 @@ def head(f_cam: Node, protos: PrototypeSet, params: dict[str, Node], alpha: floa
     differentiable; the last (background) column is minus the objectness.
     """
     _, h, w = f_cam.value.shape
-    flat = _flatten_map(f_cam)
+    flat = ops.map_to_tokens(f_cam)
     sq = (flat * flat).sum(axis=1, keepdims=True) + 1e-12
     fhat = flat / ops.sqrt(sq)
     slot_logits = ops.matmul(fhat, as_node(_unit_rows_fixed(protos.t).T)) * alpha
     obj = ops.conv1x1(f_cam, params["head.obj_w"], params["head.obj_b"]).reshape((h * w, 1))
     logits = ops.concat([slot_logits, -obj], axis=1)
-    reg = _flatten_map(ops.conv1x1(f_cam, params["head.box_w"], params["head.box_b"]))
+    reg = ops.map_to_tokens(ops.conv1x1(f_cam, params["head.box_w"], params["head.box_b"]))
     return logits, reg
 
 
 def center_cell(box: Box, h: int, w: int) -> tuple[int, int]:
-    """The cell containing the box center; pixel (i, j) covers
-    [j, j+1) x [i, i+1) in continuous units."""
-    cx = (box.x1 + box.x2) / 2.0
-    cy = (box.y1 + box.y2) / 2.0
-    return min(int(cy), h - 1), min(int(cx), w - 1)
+    """The cell containing the center of a box inside the (h, w) map; pixel
+    (i, j) covers [j, j+1) x [i, i+1) in continuous units."""
+    box.require_within(h, w)
+    # the clamp catches a midpoint that rounds up onto the far edge
+    return min(int((box.y1 + box.y2) / 2.0), h - 1), min(int((box.x1 + box.x2) / 2.0), w - 1)
 
 
 def support_prototypes(

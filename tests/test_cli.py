@@ -17,6 +17,7 @@ from fusedet.evaluation import (
     write_ground_truths,
 )
 from fusedet.errors import ParseError
+from fusedet.model import ModelConfig, init_params, query_features
 from fusedet.neighborhood import NAConfig
 from fusedet.selftest import CHECKS
 from fusedet.synth import SynthConfig, generate_synthetic
@@ -106,6 +107,20 @@ class TestFuse:
         init_fusion_params(store, fusion)
         expected = fusion_forward(a, b, fusion, store.nodes())
         assert np.array_equal(fmp.read_map(out), expected.value)
+
+    def test_concat_mode_equals_model_query_features(self, tmp_path, capsys):
+        # both stack thermal first, so a run's store gives the model's map
+        a, b, pa, pb = small_maps(tmp_path)
+        cfg = ModelConfig(channels=4, fusion_mode="concat")
+        store = init_params(cfg, seed=3)
+        store.save(tmp_path / "P.pst")
+        out = tmp_path / "fused.fmp"
+        code, _, _ = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--mode", "concat",
+            "--params", str(tmp_path / "P.pst"), "--out", str(out),
+        )
+        assert code == 0
+        assert np.array_equal(fmp.read_map(out), query_features(a, b, cfg, store.nodes()).value)
 
     def test_same_inputs_same_checksum(self, tmp_path, capsys):
         _, _, pa, pb = small_maps(tmp_path)
@@ -407,27 +422,51 @@ class TestNonFiniteIndexBox:
     read, not later as a support (extent check) or as a query target
     (`center_cell` on an infinite centre)."""
 
-    CFG = "split.base = 0,2\nsplit.novel = 1\ntrain.steps_base = 3\ntrain.steps_finetune = 3\n"
-
     @pytest.mark.parametrize(
         "field, value", [(5, "inf"), (2, "-inf"), (5, "nan")], ids=["y2-inf", "x1-minus-inf", "y2-nan"]
     )
     def test_train_exits_2_with_line(self, tmp_path, capsys, field, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.CFG)
-        data = tmp_path / "d"
-        assert run(capsys, "gen", "--out", str(data), "--seed", "0", "--config", str(cfg))[0] == 0
-        lines = (data / "index.txt").read_text().splitlines()
-        n = [i for i, line in enumerate(lines) if line.strip().startswith("box 0 ")][2]
-        tok = lines[n].split()
-        tok[field] = value
-        lines[n] = "    " + " ".join(tok)
-        (data / "index.txt").write_text("\n".join(lines) + "\n")
-        code, _, err = run(
-            capsys, "train", "--data", str(data / "index.txt"), "--out", str(tmp_path / "r"),
-            "--seed", "2", "--config", str(cfg),
-        )
+        n, code, err = train_with_third_box_0(tmp_path, capsys, {field: value}, seed=2)
         assert code == 2 and f"line {n + 1}: degenerate or non-finite box" in err
+
+
+class TestQueryTargetOutsideMap:
+    """An index box outside its 12x12 map exits 2 naming the box.  With
+    `train --seed 7` the box is first drawn as a query target, whose cell
+    would otherwise wrap (above-left) or clamp (below-right) onto another."""
+
+    @pytest.mark.parametrize(
+        "coords, shown",
+        [("-3 -3 -1 -1", "Box(x1=-3.0, y1=-3.0, x2=-1.0, y2=-1.0)"),
+         ("20 20 22 22", "Box(x1=20.0, y1=20.0, x2=22.0, y2=22.0)")],
+        ids=["above-left", "below-right"],
+    )
+    def test_train_exits_2_naming_box(self, tmp_path, capsys, coords, shown):
+        edits = dict(enumerate(coords.split(), start=2))
+        _, code, err = train_with_third_box_0(tmp_path, capsys, edits, seed=7)
+        assert code == 2 and f"box {shown} exceeds map extent (12, 12)" in err
+
+
+def train_with_third_box_0(tmp_path, capsys, edits, seed):
+    """`gen --seed 0`, then `train --seed <seed>` with the third `box 0`
+    line's fields replaced per `edits` (field -> text): that line's index
+    and train's exit code and stderr."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("split.base = 0,2\nsplit.novel = 1\ntrain.steps_base = 3\ntrain.steps_finetune = 3\n")
+    data = tmp_path / "d"
+    assert run(capsys, "gen", "--out", str(data), "--seed", "0", "--config", str(cfg))[0] == 0
+    lines = (data / "index.txt").read_text().splitlines()
+    n = [i for i, line in enumerate(lines) if line.strip().startswith("box 0 ")][2]
+    tok = lines[n].split()
+    for field, value in edits.items():
+        tok[field] = value
+    lines[n] = "    " + " ".join(tok)
+    (data / "index.txt").write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "train", "--data", str(data / "index.txt"), "--out", str(tmp_path / "r"),
+        "--seed", str(seed), "--config", str(cfg),
+    )
+    return n, code, err
 
 
 INDEX = "img000 img000_rgb.fmp img000_ir.fmp\n    box 0 0.5 0.5 2.5 3.0\n"

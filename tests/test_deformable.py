@@ -266,52 +266,60 @@ class TestCDAForward:
             cda_forward(np.ones((2, 4, 4)), np.ones((2, 4, 4)), np.ones((2, 4, 2)), cfg, store.nodes(), "cda")
 
 
+CFG_2 = FusionConfig(na=NAConfig(k=3, channels=2), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=2))
+
+
 class TestFuse:
     def test_add(self):
-        out = fuse(np.ones((2, 3, 3)), np.ones((2, 3, 3)), "add", {})
+        out = fuse(np.ones((2, 3, 3)), np.ones((2, 3, 3)), "add", CFG_2, {})
         assert np.array_equal(out.value, 2.0 * np.ones((2, 3, 3)))
 
-    def test_concat_selector_weights_return_first(self):
+    def test_concat_selector_weights_return_thermal(self):
+        # thermal is stacked first, so [I, 0] selects it
         d = 3
         store = ParamStore(seed=0)
         init_fuse_params(store, "fuse", d)
         store.set_array("fuse.w", np.concatenate([np.eye(d), np.zeros((d, d))], axis=1))
         rng = np.random.default_rng(5)
-        f_a, f_b = rng.standard_normal((d, 4, 4)), rng.standard_normal((d, 4, 4))
-        out = fuse(f_a, f_b, "concat", store.nodes())
-        assert np.allclose(out.value, f_a, atol=1e-12)
+        rgb, ir = rng.standard_normal((d, 4, 4)), rng.standard_normal((d, 4, 4))
+        out = fuse(rgb, ir, "concat", CFG_2, store.nodes())
+        assert np.allclose(out.value, ir, atol=1e-12)
 
     def test_concat_matches_loop_oracle(self):
         d = 2
         store = ParamStore(seed=6)
         init_fuse_params(store, "fuse", d)
         rng = np.random.default_rng(6)
-        f_a, f_b = rng.standard_normal((d, 3, 3)), rng.standard_normal((d, 3, 3))
-        got = fuse(f_a, f_b, "concat", store.nodes()).value
+        rgb, ir = rng.standard_normal((d, 3, 3)), rng.standard_normal((d, 3, 3))
+        got = fuse(rgb, ir, "concat", CFG_2, store.nodes()).value
         w, b = store.array("fuse.w"), store.array("fuse.b")
         want = np.zeros((d, 3, 3))
         for i in range(3):
             for j in range(3):
-                stacked = np.concatenate([f_a[:, i, j], f_b[:, i, j]])
+                stacked = np.concatenate([ir[:, i, j], rgb[:, i, j]])
                 want[:, i, j] = w @ stacked + b
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_cda_is_fusion_forward(self):
+        store = ParamStore(seed=2)
+        init_fusion_params(store, CFG_2)
+        rng = np.random.default_rng(2)
+        rgb, ir = rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 4, 4))
+        got = fuse(rgb, ir, "cda", CFG_2, store.nodes()).value
+        assert np.array_equal(got, fusion_forward(rgb, ir, CFG_2, store.nodes()).value)
 
     def test_cmi_stub_errors(self):
         # the reserved placeholder mode is gone: it is an unknown mode now
         with pytest.raises(PreconditionError, match="unknown fusion mode"):
-            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), "cmi-stub", {})
+            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), "cmi-stub", CFG_2, {})
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(PreconditionError):
-            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), "mean", {})
+            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), "mean", CFG_2, {})
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 3)), "add", {})
-
-    def test_cda_mode_needs_config(self):
-        with pytest.raises(PreconditionError):
-            fuse(np.ones((2, 4, 4)), np.ones((2, 4, 4)), "cda", {})
+            fuse(np.ones((1, 2, 2)), np.ones((1, 2, 3)), "add", CFG_2, {})
 
 
 class TestFusionForward:
