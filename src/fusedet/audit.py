@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Node, ParamStore, min_abs_grad
+from .autodiff import Node, ParamStore, backward, min_abs_grad
 from .data import SplitSpec, build_supports, sample_episode
 from .deformable import CDAConfig, FusionConfig, fusion_forward, init_fusion_params
 from .model import ModelConfig, init_params
@@ -62,8 +62,9 @@ def train_grad_case(root, seed: int):
     of the query/key matrices land below the rounding noise of a central
     difference on a loss of this magnitude, so the audit would report
     spurious errors for entries no finite-difference scheme can resolve.
-    Seeds 0, 23, and 119 are verified well-conditioned; screen any other
-    candidate with min_abs_grad before trusting a failure.
+    The offset weights are redrawn too, so every parameter has a nonzero
+    gradient.  Seeds 174, 305 and 319 are verified well-conditioned;
+    screen any other candidate with min_abs_grad before trusting a failure.
     """
     scfg = SynthConfig(
         classes=2, images=8, channels=4, height=4, width=4,
@@ -83,6 +84,11 @@ def train_grad_case(root, seed: int):
         store.set_array(f"{prefix}.wq", 2.5 * rng.standard_normal((4, 4)))
         store.set_array(f"{prefix}.wk", 2.5 * rng.standard_normal((4, 4)))
     store.set_array("cam.w", 2.5 * rng.standard_normal((4, 4)))
+    # as in fusion_grad_case: at the zero init the offset branch passes no
+    # gradient back to the layers before it
+    for prefix in ("cda_rgb", "cda_ir"):
+        store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, 4)))
+        store.set_array(f"{prefix}.off_b", 0.3 * rng.standard_normal(2))
     episode = sample_episode(
         index, split, "finetune", np.random.default_rng((seed, 7)),
         supports[0], t_max=2, shots_per_slot=1,
@@ -92,6 +98,14 @@ def train_grad_case(root, seed: int):
         return train_loss(episode, index, cfg, tcfg, params)
 
     return store, build
+
+
+def zero_grad_keys(build, store: ParamStore) -> list[str]:
+    """The keys whose analytic gradient is zero in every entry: a grad_check
+    over them compares zero with zero and shows nothing."""
+    nodes = store.nodes()
+    backward(build(nodes))
+    return [k for k in store.keys() if nodes[k].grad is None or not np.any(nodes[k].grad)]
 
 
 def gradcheck_cases(seed: int, root: Path):
@@ -131,7 +145,7 @@ def gradcheck_cases(seed: int, root: Path):
 
     # same screening for the end-to-end loss, with verified fallbacks so
     # the command terminates on a resolvable configuration for any seed
-    for cand in [*range(seed, seed + 8), 0, 119]:
+    for cand in [*range(seed, seed + 8), 174, 319]:
         store4, build4 = train_grad_case(root, cand)
         if min_abs_grad(build4, store4) >= 2.5e-4:
             break

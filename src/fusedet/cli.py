@@ -104,7 +104,9 @@ def cmd_fuse(args) -> int:
     store = ParamStore(seed=args.seed if args.seed is not None else 0)
     init_fusion_params(store, fusion)
     if args.params:
-        store = _load_params(args.params, store)
+        want = ParamStore()
+        init_fusion_params(want, fusion, args.mode)
+        store = _load_params(args.params, want)
     out = fuse(rgb, ir, args.mode, fusion, store.nodes())
     fmp.write_map(args.out, out.value)
     print(f"shape={out.value.shape} checksum={_checksum(args.out)}")

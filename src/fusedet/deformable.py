@@ -93,55 +93,62 @@ def init_fuse_params(store: ParamStore, prefix: str, channels: int) -> None:
     store.zeros(f"{prefix}.b", (channels,))
 
 
-def init_fusion_params(store: ParamStore, cfg: FusionConfig) -> None:
-    """Every parameter fusion_forward reads, drawn in a fixed order."""
+def init_fusion_params(store: ParamStore, cfg: FusionConfig, mode: str = "cda") -> None:
+    """Every parameter `fuse` reads under `mode`, drawn in a fixed order:
+    all of them for cda (fusion_forward), the `fuse` mix for concat, none
+    for add."""
     d = cfg.na.channels
-    init_na_params(store, "na_rgb", d)
-    init_na_params(store, "na_ir", d)
-    init_cda_params(store, "cda_rgb", cfg.cda)
-    init_cda_params(store, "cda_ir", cfg.cda)
-    init_fuse_params(store, "fuse", d)
+    if mode == "cda":
+        init_na_params(store, "na_rgb", d)
+        init_na_params(store, "na_ir", d)
+        init_cda_params(store, "cda_rgb", cfg.cda)
+        init_cda_params(store, "cda_ir", cfg.cda)
+    if mode in ("cda", "concat"):
+        init_fuse_params(store, "fuse", d)
 
 
 def offset_net(f_src, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> Node:
-    """Predict one bounded 2-D offset per reference point: (2, H/r * W/r).
+    """Predict one bounded 2-D offset per reference point: (..., 2, H/r * W/r).
 
     conv1x1 -> depthwise k_off x k_off stride r -> LayerNorm -> GELU ->
     conv1x1 to two channels -> s * tanh.  Every entry lies in (-s, s).
     """
     f_src = as_node(f_src)
-    _, h, w = f_src.value.shape
+    *lead, _, h, w = f_src.value.shape
     u = ops.conv1x1(f_src, params[f"{prefix}.wu"])
     mid = ops.depthwise_conv(u, params[f"{prefix}.dw"], stride=cfg.r)
     mid = ops.layer_norm(mid, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
     mid = ops.gelu(mid)
     raw = ops.conv1x1(mid, params[f"{prefix}.off_w"], params[f"{prefix}.off_b"])
     n = (h // cfg.r) * (w // cfg.r)
-    return ops.tanh(raw.reshape((2, n))) * cfg.s
+    return ops.tanh(raw.reshape((*lead, 2, n))) * cfg.s
 
 
 def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, Node], prefix: str) -> Node:
-    """Update one modality from the other; output shape equals f_res."""
+    """Update one modality from the other; output shape equals f_res, a
+    (D, H, W) map or a (..., D, H, W) batch of them."""
     f_res, f_query_src, f_kv_src = as_node(f_res), as_node(f_query_src), as_node(f_kv_src)
     if not (f_res.value.shape == f_query_src.value.shape == f_kv_src.value.shape):
         raise ShapeError(
             f"map shapes differ: {f_res.value.shape}, "
             f"{f_query_src.value.shape}, {f_kv_src.value.shape}"
         )
-    d, h, w = f_res.value.shape
+    nd = f_res.value.ndim
+    d, h, w = f_res.value.shape[-3:]
     if d != cfg.channels:
         raise ShapeError(f"map has {d} channels, config says {cfg.channels}")
 
     grid = reference_grid(h, w, cfg.r)
     coords = offset_net(f_kv_src, cfg, params, prefix) + grid
-    sampled = ops.bilinear_sample(f_kv_src, coords)  # (D, N)
+    sampled = ops.bilinear_sample(f_kv_src, coords)  # (..., D, N)
     keys = ops.matmul(params[f"{prefix}.wk"], sampled)
     vals = ops.matmul(params[f"{prefix}.wv"], sampled)
 
     qf = ops.map_to_tokens(ops.conv1x1(f_query_src, params[f"{prefix}.wq"]))
     logits = ops.matmul(qf, keys) * (1.0 / np.sqrt(d))
-    attn = ops.softmax(logits, axis=1)  # (HW, N)
-    mixed = ops.tokens_to_map(ops.matmul(attn, vals.transpose()), h, w)
+    attn = ops.softmax(logits, axis=-1)  # (..., HW, N)
+    vals_t = vals.transpose((*range(nd - 3), nd - 2, nd - 3))  # (..., N, D)
+    mixed = ops.tokens_to_map(ops.matmul(attn, vals_t), h, w)
 
     inner = f_query_src + mixed
     hidden = ops.relu(ops.conv1x1(inner, params[f"{prefix}.ffn_w1"], params[f"{prefix}.ffn_b1"]))
@@ -152,8 +159,9 @@ FUSE_MODES = ("cda", "concat", "add")
 
 
 def fuse(rgb, ir, mode: str, cfg: FusionConfig, params: dict[str, Node]) -> Node:
-    """The query map of one color/thermal pair under a fusion mode: the one
-    place a mode is dispatched.
+    """The query map of one color/thermal pair, (D, H, W), or of a batch of
+    pairs, (B, D, H, W), under a fusion mode: the one place a mode is
+    dispatched.  Each batch element equals the pair fused alone, bit for bit.
 
     cda: the full two-stage pipeline (fusion_forward).  concat: the
     thermal-first pointwise mix alone.  add: plain sum.  `cfg` is read by
@@ -172,7 +180,7 @@ def fuse(rgb, ir, mode: str, cfg: FusionConfig, params: dict[str, Node]) -> Node
 
 def _concat_mix(f_rgb, f_ir, params: dict[str, Node]) -> Node:
     """Channel-stack thermal first, then mix by the pointwise `fuse` conv."""
-    return ops.conv1x1(ops.concat([f_ir, f_rgb], axis=0), params["fuse.w"], params["fuse.b"])
+    return ops.conv1x1(ops.concat([f_ir, f_rgb], axis=-3), params["fuse.w"], params["fuse.b"])
 
 
 def fusion_forward(f_rgb, f_ir, cfg: FusionConfig, params: dict[str, Node]) -> Node:

@@ -63,9 +63,9 @@ def init_na_params(store: ParamStore, prefix: str, channels: int) -> None:
 
 
 def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
-    """Refine a (D, H, W) map by local-window attention; same output shape."""
+    """Refine a (..., D, H, W) map by local-window attention; same output shape."""
     x = as_node(x)
-    d, h, w = x.value.shape
+    *lead, d, h, w = x.value.shape
     if d != cfg.channels:
         raise ShapeError(f"map has {d} channels, config says {cfg.channels}")
     if cfg.k > min(h, w):
@@ -77,13 +77,13 @@ def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
 
     qf, kf, vf = ops.map_to_tokens(q), ops.map_to_tokens(key), ops.map_to_tokens(v)
     table = neighbor_table(h, w, cfg.k)
-    kn = ops.take(kf, table)  # (HW, k*k, D)
+    kn = ops.take(kf, table)  # (..., HW, k*k, D)
     vn = ops.take(vf, table)
 
     scale = 1.0 / np.sqrt(d)
-    logits = (qf.reshape((h * w, 1, d)) * kn).sum(axis=2) * scale
-    attn = ops.softmax(logits, axis=1)
-    out = (attn.reshape((h * w, cfg.k * cfg.k, 1)) * vn).sum(axis=1)
+    logits = (qf.reshape((*lead, h * w, 1, d)) * kn).sum(axis=-1) * scale
+    attn = ops.softmax(logits, axis=-1)
+    out = (attn.reshape((*lead, h * w, cfg.k * cfg.k, 1)) * vn).sum(axis=-2)
     return ops.tokens_to_map(out, h, w)
 
 

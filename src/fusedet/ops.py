@@ -3,12 +3,32 @@
 Conventions, fixed once and relied on everywhere:
 
 * A feature map is a (D, H, W) float64 array: channel, then row, then col.
+  Its tokens are (H*W, D): one row per location, row-major
+  (`map_to_tokens`, `tokens_to_map`).
 * Sampling coordinates are a (2, N) array, row 0 = x (width direction),
   row 1 = y (height direction), normalized to [-1, 1] with the
   align-corners mapping  x_pix = (x_norm + 1) / 2 * (W - 1).  Coordinates
   outside [-1, 1] read zero padding beyond the border.
 * Every op accepts Node or plain array inputs and returns a Node; plain
   inputs become constant leaves.
+
+Batches.  `matmul`, `conv1x1`, `depthwise_conv`, `layer_norm`,
+`bilinear_sample`, `take`, `map_to_tokens`, `tokens_to_map` and the
+elementwise ops (`relu`, `tanh`, `gelu`, ...) also take leading batch
+axes: maps (B, D, H, W), tokens (B, H*W, D), coordinates (B, 2, N), one
+sample per batch element.  `softmax` and `log_softmax` work on any axis;
+batched callers name it from the end (axis=-1).  Weights stay unbatched
+and shared.  A 3-D map is the same op with no batch axis, not a batch
+of one.
+
+Each batch element's value and input gradient are computed by the same
+numpy and BLAS calls, on the same memory layout, as a lone 3-D call, so
+they are equal to it bit for bit.  A shared weight's gradient is the sum
+of its per-element contributions taken one at a time from the last
+element to the first (`_sum_batch`): the order in which `backward`
+accumulates a leaf used by separate graphs, one per element, built in
+batch order.  A reduction over the batch axis in one numpy call would
+round differently.
 """
 from __future__ import annotations
 
@@ -22,37 +42,63 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _sum_batch(per_element: np.ndarray, ndim: int) -> np.ndarray:
+    """Reduce a stack of per-element gradients, shaped (*batch, *shape)
+    with len(shape) == ndim, to one `shape` gradient: the last element
+    first, then each earlier one added in turn."""
+    if per_element.ndim == ndim:
+        return per_element
+    parts = per_element.reshape((-1, *per_element.shape[per_element.ndim - ndim :]))
+    total = parts[-1]
+    for part in parts[-2::-1]:
+        total = total + part
+    return total
+
+
 def matmul(a, b) -> Node:
+    """a @ b over (..., m, k) x (..., k, n); an operand with leading batch
+    axes must carry all of them, the other may be a shared 2-D matrix."""
     a, b = as_node(a), as_node(b)
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if (
+        av.ndim < 2
+        or bv.ndim < 2
+        or av.shape[-1] != bv.shape[-2]
+        or (av.ndim > 2 and bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2])
+    ):
         raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
     return Node(
         av @ bv,
         (a, b),
-        (lambda g: g @ bv.T, lambda g: av.T @ g),
+        (
+            lambda g: _sum_batch(g @ np.swapaxes(bv, -1, -2), av.ndim),
+            lambda g: _sum_batch(np.swapaxes(av, -1, -2) @ g, bv.ndim),
+        ),
     )
 
 
 def conv1x1(x, w, b=None) -> Node:
-    """Pointwise convolution: out[d,i,j] = sum_c w[d,c] x[c,i,j] (+ b[d])."""
+    """Pointwise convolution: out[..., d,i,j] = sum_c w[d,c] x[..., c,i,j] (+ b[d])."""
     x, w = as_node(x), as_node(w)
     xv, wv = x.value, w.value
-    if xv.ndim != 3 or wv.ndim != 2 or wv.shape[1] != xv.shape[0]:
+    if xv.ndim < 3 or wv.ndim != 2 or wv.shape[1] != xv.shape[-3]:
         raise ShapeError(f"conv1x1: weight {wv.shape} does not match map {xv.shape}")
-    out = np.tensordot(wv, xv, axes=([1], [0]))
+    *lead, c, h, wdt = xv.shape
+    d = wv.shape[0]
+    xf = xv.reshape((*lead, c, h * wdt))
+    out = (wv @ xf).reshape((*lead, d, h, wdt))
     parents = [x, w]
     vjps = [
-        lambda g: np.tensordot(wv.T, g, axes=([1], [0])),
-        lambda g: np.tensordot(g, xv, axes=([1, 2], [1, 2])),
+        lambda g: (wv.T @ g.reshape((*lead, d, h * wdt))).reshape(xv.shape),
+        lambda g: _sum_batch(g.reshape((*lead, d, h * wdt)) @ np.swapaxes(xf, -1, -2), 2),
     ]
     if b is not None:
         b = as_node(b)
-        if b.value.shape != (wv.shape[0],):
-            raise ShapeError(f"conv1x1: bias {b.value.shape} does not match out channels {wv.shape[0]}")
+        if b.value.shape != (d,):
+            raise ShapeError(f"conv1x1: bias {b.value.shape} does not match out channels {d}")
         out = out + b.value[:, None, None]
         parents.append(b)
-        vjps.append(lambda g: g.sum(axis=(1, 2)))
+        vjps.append(lambda g: _sum_batch(g.sum(axis=(-2, -1)), 1))
     return Node(out, tuple(parents), tuple(vjps))
 
 
@@ -60,13 +106,13 @@ def depthwise_conv(x, w, stride: int) -> Node:
     """Per-channel k x k convolution with zero padding floor(k/2).
 
     Requires k odd and H, W divisible by the stride, so the output is
-    exactly (D, H/stride, W/stride) and lands on the reference lattice.
+    exactly (..., D, H/stride, W/stride) and lands on the reference lattice.
     """
     x, w = as_node(x), as_node(w)
     xv, wv = x.value, w.value
-    if xv.ndim != 3 or wv.ndim != 3 or wv.shape[0] != xv.shape[0] or wv.shape[1] != wv.shape[2]:
+    if xv.ndim < 3 or wv.ndim != 3 or wv.shape[0] != xv.shape[-3] or wv.shape[1] != wv.shape[2]:
         raise ShapeError(f"depthwise_conv: kernels {wv.shape} do not match map {xv.shape}")
-    d, h, wdt = xv.shape
+    *lead, d, h, wdt = xv.shape
     k = wv.shape[1]
     if k % 2 == 0:
         raise PreconditionError(f"depthwise_conv: kernel side {k} must be odd")
@@ -76,31 +122,31 @@ def depthwise_conv(x, w, stride: int) -> Node:
         )
     pad = k // 2
     oh, ow = h // stride, wdt // stride
-    xp = np.zeros((d, h + 2 * pad, wdt + 2 * pad))
-    xp[:, pad : pad + h, pad : pad + wdt] = xv
+    xp = np.zeros((*lead, d, h + 2 * pad, wdt + 2 * pad))
+    xp[..., pad : pad + h, pad : pad + wdt] = xv
 
-    out = np.zeros((d, oh, ow))
+    out = np.zeros((*lead, d, oh, ow))
     for a in range(k):
         for b in range(k):
-            sl = xp[:, a : a + stride * oh : stride, b : b + stride * ow : stride]
+            sl = xp[..., a : a + stride * oh : stride, b : b + stride * ow : stride]
             out += wv[:, a, b][:, None, None] * sl
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         gp = np.zeros_like(xp)
         for a in range(k):
             for b in range(k):
-                gp[:, a : a + stride * oh : stride, b : b + stride * ow : stride] += (
+                gp[..., a : a + stride * oh : stride, b : b + stride * ow : stride] += (
                     wv[:, a, b][:, None, None] * g
                 )
-        return gp[:, pad : pad + h, pad : pad + wdt]
+        return gp[..., pad : pad + h, pad : pad + wdt]
 
     def vjp_w(g: np.ndarray) -> np.ndarray:
-        gw = np.zeros_like(wv)
+        gw = np.zeros((*lead, *wv.shape))
         for a in range(k):
             for b in range(k):
-                sl = xp[:, a : a + stride * oh : stride, b : b + stride * ow : stride]
-                gw[:, a, b] = (g * sl).sum(axis=(1, 2))
-        return gw
+                sl = xp[..., a : a + stride * oh : stride, b : b + stride * ow : stride]
+                gw[..., a, b] = (g * sl).sum(axis=(-2, -1))
+        return _sum_batch(gw, 3)
 
     return Node(out, (x, w), (vjp_x, vjp_w))
 
@@ -110,8 +156,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
     unit variance (population, eps-stabilized), then scale/shift per channel."""
     x, gamma, beta = as_node(x), as_node(gamma), as_node(beta)
     xv = x.value
-    mu = xv.mean(axis=0)
-    var = xv.var(axis=0)
+    mu = xv.mean(axis=-3, keepdims=True)
+    var = xv.var(axis=-3, keepdims=True)
     istd = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mu) * istd
     gv = gamma.value[:, None, None]
@@ -119,15 +165,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         gh = g * gv
-        return istd * (gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0))
+        return istd * (gh - gh.mean(axis=-3, keepdims=True) - xhat * (gh * xhat).mean(axis=-3, keepdims=True))
 
     return Node(
         out,
         (x, gamma, beta),
         (
             vjp_x,
-            lambda g: (g * xhat).sum(axis=(1, 2)),
-            lambda g: g.sum(axis=(1, 2)),
+            lambda g: _sum_batch((g * xhat).sum(axis=(-2, -1)), 1),
+            lambda g: _sum_batch(g.sum(axis=(-2, -1)), 1),
         ),
     )
 
@@ -197,17 +243,20 @@ def absolute(x) -> Node:
 
 
 def take(x, idx) -> Node:
-    """Gather rows (axis 0) by an integer index array; scatter-add backward."""
+    """Gather along the token axis (-2) of (..., N, D) by an integer index
+    array -> (..., *idx.shape, D); scatter-add backward."""
     x = as_node(x)
     idx = np.asarray(idx)
     xv = x.value
+    *lead, _, d = xv.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dx = np.zeros_like(xv)
-        np.add.at(dx, idx.reshape(-1), g.reshape(idx.size, *xv.shape[1:]))
+        batch = tuple(i[..., None] for i in np.indices(lead, sparse=True))
+        np.add.at(dx, (*batch, idx.reshape(-1)), g.reshape((*lead, idx.size, d)))
         return dx
 
-    return Node(np.take(xv, idx, axis=0), (x,), (vjp,))
+    return Node(np.take(xv, idx, axis=-2), (x,), (vjp,))
 
 
 def concat(parts, axis: int) -> Node:
@@ -234,16 +283,41 @@ def concat(parts, axis: int) -> Node:
 
 
 def map_to_tokens(m) -> Node:
-    """(D, H, W) map -> (H*W, D) tokens, one row per location, row-major."""
+    """(..., D, H, W) map -> (..., H*W, D) tokens, one row per location, row-major."""
     m = as_node(m)
-    d, h, w = m.value.shape
-    return m.transpose((1, 2, 0)).reshape((h * w, d))
+    *lead, d, h, w = m.value.shape
+    n = len(lead)
+    return m.transpose((*range(n), n + 1, n + 2, n)).reshape((*lead, h * w, d))
 
 
 def tokens_to_map(t, h: int, w: int) -> Node:
-    """Inverse of map_to_tokens: (H*W, D) tokens -> (D, H, W) map."""
+    """Inverse of map_to_tokens: (..., H*W, D) tokens -> (..., D, H, W) map."""
     t = as_node(t)
-    return t.reshape((h, w, t.value.shape[1])).transpose((2, 0, 1))
+    *lead, _, d = t.value.shape
+    n = len(lead)
+    return t.reshape((*lead, h, w, d)).transpose((*range(n), n + 2, n, n + 1))
+
+
+def unstack(x) -> list[Node]:
+    """Split a batch along its leading axis: one Node per element.
+
+    Each element's gradient lands in a zero batch laid out in memory like
+    that gradient, so the batch gradient of every element has the layout a
+    lone map's gradient would have had (numpy's reductions follow it)."""
+    x = as_node(x)
+    n = x.value.shape[0]
+
+    def make_vjp(i: int):
+        def vjp(g: np.ndarray) -> np.ndarray:
+            order = np.argsort(g.strides, kind="stable")[::-1]
+            full = np.zeros((n, *(g.shape[a] for a in order)))
+            full = full.transpose((0, *(1 + np.argsort(order))))
+            full[i] = g
+            return full
+
+        return vjp
+
+    return [Node(x.value[i], (x,), (make_vjp(i),)) for i in range(n)]
 
 
 def pixel_coords(coords_norm: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +328,7 @@ def pixel_coords(coords_norm: np.ndarray, h: int, w: int) -> tuple[np.ndarray, n
 
 
 def bilinear_sample(x, coords) -> Node:
-    """Sample a (D, H, W) map at (2, N) normalized coords -> (D, N).
+    """Sample a (..., D, H, W) map at (..., 2, N) normalized coords -> (..., D, N).
 
     Align-corners convention; each of the four surrounding pixels that
     falls outside the map contributes zero (zero padding), so a coordinate
@@ -263,16 +337,18 @@ def bilinear_sample(x, coords) -> Node:
     """
     x, coords = as_node(x), as_node(coords)
     xv, cv = x.value, coords.value
-    if xv.ndim != 3 or cv.ndim != 2 or cv.shape[0] != 2:
+    if xv.ndim < 3 or cv.ndim != xv.ndim - 1 or cv.shape[-2] != 2 or cv.shape[:-2] != xv.shape[:-3]:
         raise ShapeError(f"bilinear_sample: map {xv.shape}, coords {cv.shape}")
-    d, h, w = xv.shape
-    px, py = pixel_coords(cv, h, w)
+    *lead, d, h, w = xv.shape
+    xflat = xv.reshape((*lead, d, h * w))
+    gather = (*(i[..., None, None] for i in np.indices(lead, sparse=True)), np.arange(d)[:, None])
+    px, py = pixel_coords(np.swapaxes(cv, 0, -2), h, w)  # (..., N) each
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     wx = px - x0
     wy = py - y0
 
-    corners = []  # (value (D,N), weight (N,), flat index (N,), valid (N,))
+    corners = []  # (value (..., D, N), weight (..., 1, N), flat index (..., N), valid (..., N))
     for dy, dx, weight in (
         (0, 0, (1.0 - wy) * (1.0 - wx)),
         (0, 1, (1.0 - wy) * wx),
@@ -281,28 +357,28 @@ def bilinear_sample(x, coords) -> Node:
     ):
         xi, yi = x0 + dx, y0 + dy
         valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        xc = np.clip(xi, 0, w - 1)
-        yc = np.clip(yi, 0, h - 1)
-        val = xv[:, yc, xc] * valid
-        corners.append((val, weight, yc * w + xc, valid))
+        flat = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+        val = xflat[(*gather, flat[..., None, :])] * valid[..., None, :]
+        corners.append((val, weight[..., None, :], flat, valid))
 
-    out = np.zeros((d, cv.shape[1]))
+    out = np.zeros((*lead, d, cv.shape[-1]))
     for val, weight, _, _ in corners:
         out += weight * val
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        buf = np.zeros((h * w, d))
+        buf = np.zeros((*lead, h * w, d))
         for _, weight, flat, valid in corners:
-            contrib = (g * weight).T[valid]
-            np.add.at(buf, flat[valid], contrib)
-        return buf.T.reshape(d, h, w)
+            contrib = np.swapaxes(g * weight, -1, -2)[valid]
+            np.add.at(buf, (*np.nonzero(valid)[:-1], flat[valid]), contrib)
+        return np.swapaxes(buf, -1, -2).reshape(xv.shape)
 
     def vjp_coords(g: np.ndarray) -> np.ndarray:
         v00, v01, v10, v11 = (c[0] for c in corners)
-        dval_dwx = (1.0 - wy) * (v01 - v00) + wy * (v11 - v10)
-        dval_dwy = (1.0 - wx) * (v10 - v00) + wx * (v11 - v01)
-        gx = (g * dval_dwx).sum(axis=0) * 0.5 * (w - 1)
-        gy = (g * dval_dwy).sum(axis=0) * 0.5 * (h - 1)
-        return np.stack([gx, gy])
+        wx_, wy_ = wx[..., None, :], wy[..., None, :]
+        dval_dwx = (1.0 - wy_) * (v01 - v00) + wy_ * (v11 - v10)
+        dval_dwy = (1.0 - wx_) * (v10 - v00) + wx_ * (v11 - v01)
+        gx = (g * dval_dwx).sum(axis=-2) * 0.5 * (w - 1)
+        gy = (g * dval_dwy).sum(axis=-2) * 0.5 * (h - 1)
+        return np.stack([gx, gy], axis=-2)
 
     return Node(out, (x, coords), (vjp_x, vjp_coords))

@@ -83,6 +83,27 @@ def center_cell(box: Box, h: int, w: int) -> tuple[int, int]:
     return min(int((box.y1 + box.y2) / 2.0), h - 1), min(int((box.x1 + box.x2) / 2.0), w - 1)
 
 
+def group_by_image(instances: dict[int, list[GroundTruth]], classes) -> dict[str, list[GroundTruth]]:
+    """Support records grouped by image, images in order of first use when
+    `classes` are walked in order, as `Episode.support` and
+    `SupportSet.instances` map each class to its records."""
+    grouped: dict[str, list[GroundTruth]] = {}
+    for c in classes:
+        for record in instances[c]:
+            grouped.setdefault(record.image_id, []).append(record)
+    return grouped
+
+
+def fuse_images(index: DatasetIndex, image_ids, cfg: ModelConfig, params: dict[str, Node]) -> list[Node]:
+    """The query map of each image's pair, in order, from one batched
+    fusion; images whose maps differ in shape are fused one by one."""
+    pairs = [index.load_pair(image_id) for image_id in image_ids]
+    if len({(rgb.shape, ir.shape) for rgb, ir in pairs}) > 1:
+        return [query_features(rgb, ir, cfg, params) for rgb, ir in pairs]
+    rgb, ir = (np.stack(maps) for maps in zip(*pairs))
+    return ops.unstack(query_features(rgb, ir, cfg, params))
+
+
 def support_prototypes(
     index: DatasetIndex,
     instances: dict[int, list[GroundTruth]],
@@ -93,18 +114,12 @@ def support_prototypes(
     """One prototype per class, rows in `classes` order.
 
     `instances` maps each class to its support records, as
-    `Episode.support` and `SupportSet.instances` do.  Records are grouped
-    by image in `classes` order, and each image is fused once.
+    `Episode.support` and `SupportSet.instances` do.  Each support image
+    is fused once, all of them in one batch.
     """
-    grouped: dict[str, list[GroundTruth]] = {}
-    for c in classes:
-        for record in instances[c]:
-            grouped.setdefault(record.image_id, []).append(record)
-    supports = []
-    for image_id, records in grouped.items():
-        rgb, ir = index.load_pair(image_id)
-        supports.append((query_features(rgb, ir, cfg, params), records))
-    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
+    grouped = group_by_image(instances, classes)
+    maps = fuse_images(index, grouped, cfg, params)
+    return extract_prototypes(zip(maps, grouped.values()), classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
 
 
 def train_loss(
@@ -115,12 +130,19 @@ def train_loss(
     params: dict[str, Node],
 ) -> Node:
     """Scalar episode loss: prototype alignment + per-location slot
-    cross-entropy + corner-offset L1 at ground-truth centers."""
-    protos = support_prototypes(index, episode.support, episode.slots, cfg, params)
+    cross-entropy + corner-offset L1 at ground-truth centers.
+
+    The support images and then the query are fused in one batch, the
+    query last, so every fusion parameter's gradient sums its per-image
+    parts in the order separate per-image graphs would give.
+    """
+    grouped = group_by_image(episode.support, episode.slots)
+    *support_maps, f_q = fuse_images(index, [*grouped, episode.query_id], cfg, params)
+    protos = extract_prototypes(
+        zip(support_maps, grouped.values()), episode.slots, out=cfg.roi_out, sampling=cfg.roi_sampling
+    )
     meta = cosine_ce_loss(protos.s, params["meta.class_weights"], list(episode.slots), cfg.alpha)
 
-    rgb, ir = index.load_pair(episode.query_id)
-    f_q = query_features(rgb, ir, cfg, params)
     f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
     d, h, w = f_cam.value.shape
     hw, n_slots = h * w, len(episode.slots)

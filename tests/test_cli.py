@@ -150,6 +150,49 @@ class TestFuse:
         )
         assert code == 2 and "missing na_rgb." in err
 
+    def test_concat_params_need_only_the_mix(self, tmp_path, capsys):
+        a, b, pa, pb = small_maps(tmp_path)
+        mix = ParamStore(seed=5)
+        mix.xavier_uniform("fuse.w", (4, 8), 8, 4)
+        mix.xavier_uniform("fuse.b", (4,), 8, 4)
+        mix.save(tmp_path / "mix.pst")
+        out = tmp_path / "o.fmp"
+        code, _, err = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--mode", "concat",
+            "--params", str(tmp_path / "mix.pst"), "--out", str(out),
+        )
+        assert code == 0, err
+        w, bias = mix.array("fuse.w"), mix.array("fuse.b")
+        want = np.einsum("dc,chw->dhw", w, np.concatenate([b, a])) + bias[:, None, None]
+        assert np.allclose(fmp.read_map(out), want, atol=1e-12)
+
+    def test_add_params_may_be_empty(self, tmp_path, capsys):
+        a, b, pa, pb = small_maps(tmp_path)
+        ParamStore(seed=0).save(tmp_path / "empty.pst")
+        out = tmp_path / "o.fmp"
+        code, _, err = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--mode", "add",
+            "--params", str(tmp_path / "empty.pst"), "--out", str(out),
+        )
+        assert code == 0, err
+        assert np.array_equal(fmp.read_map(out), a + b)
+
+    def test_cda_params_missing_one_key_exits_2(self, tmp_path, capsys):
+        _, _, pa, pb = small_maps(tmp_path)
+        full = ParamStore(seed=0)
+        init_fusion_params(full, FusionConfig(NAConfig(k=3, channels=4), CDAConfig(k_off=5, channels=4)))
+        partial = ParamStore(seed=0)
+        for key in full.keys():
+            if key != "cda_ir.off_b":
+                partial.add(key, full.array(key))
+        partial.save(tmp_path / "partial.pst")
+        code, _, err = run(
+            capsys, "fuse", "--rgb", pa, "--ir", pb, "--mode", "cda",
+            "--params", str(tmp_path / "partial.pst"), "--out", str(tmp_path / "o.fmp"),
+        )
+        assert code == 2 and "missing cda_ir.off_b" in err
+        assert "; " not in err  # the only problem listed
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_params_non_finite_exits_3(self, tmp_path, capsys, bad):
         _, _, pa, pb = small_maps(tmp_path)

@@ -322,6 +322,39 @@ class TestFuse:
             fuse(np.ones((1, 2, 2)), np.ones((1, 2, 3)), "add", CFG_2, {})
 
 
+class TestBatchedFuse:
+    """A (B, D, H, W) batch of pairs fused in one call equals each pair
+    fused alone, bit for bit: the maps and every parameter gradient."""
+
+    @staticmethod
+    def live_store(cfg: FusionConfig, mode: str) -> dict[str, np.ndarray]:
+        store = ParamStore(seed=8)
+        init_fusion_params(store, cfg, mode)
+        rng = np.random.default_rng(8)
+        for prefix in ("cda_rgb", "cda_ir"):  # a live offset branch
+            if f"{prefix}.off_w" in store:
+                store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, cfg.cda.channels)))
+                store.set_array(f"{prefix}.off_b", 0.3 * rng.standard_normal(2))
+        return {k: store.array(k) for k in store.keys()}
+
+    @pytest.mark.parametrize("mode", ["cda", "concat", "add"])
+    @pytest.mark.parametrize("d,side", [(4, 4), (8, 8), (8, 16)])
+    def test_batch_equals_each_pair(self, mode, d, side, batch_check):
+        cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=d))
+        rng = np.random.default_rng(side)
+        rgb, ir = 2.0 * rng.standard_normal((2, 3, d, side, side))
+        out = batch_check(lambda a, b, p: fuse(a, b, mode, cfg, p), [rgb, ir], self.live_store(cfg, mode))
+        assert out.value.shape == (3, d, side, side)
+
+    def test_init_fusion_params_per_mode(self):
+        full, mix, none = (ParamStore(seed=1) for _ in range(3))
+        init_fusion_params(full, CFG_2)
+        init_fusion_params(mix, CFG_2, "concat")
+        init_fusion_params(none, CFG_2, "add")
+        assert mix.keys() == ["fuse.w", "fuse.b"] and none.keys() == []
+        assert full.keys()[-2:] == ["fuse.w", "fuse.b"] and len(full.keys()) == 34
+
+
 class TestFusionForward:
     def test_init_fusion_params_draw_order(self):
         # the seeded draws, and so every saved store, depend on this order

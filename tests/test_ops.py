@@ -269,3 +269,108 @@ class TestBilinearSample:
             ops.bilinear_sample(np.ones((2, 3)), np.zeros((2, 1)))
         with pytest.raises(ShapeError):
             ops.bilinear_sample(np.ones((1, 3, 3)), np.zeros((3, 1)))
+
+
+def _rand(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _as_map(samples):
+    """(..., D, N) samples as an (..., D, N, 1) map."""
+    return samples.reshape((*samples.value.shape, 1))
+
+
+B = 3
+TABLE = np.array([[(i + a) % 16 for a in range(5)] for i in range(16)])
+
+# (op over batch inputs and shared params, batched inputs, shared params)
+BATCH_CASES = {
+    "matmul-shared-left": (lambda b, p: ops.matmul(p["a"], b), [_rand(0, B, 4, 5)], {"a": _rand(1, 6, 4)}),
+    "matmul-shared-right": (lambda a, p: ops.matmul(a, p["b"]), [_rand(2, B, 6, 4)], {"b": _rand(3, 4, 5)}),
+    "matmul-both-batched": (lambda a, b, p: ops.matmul(a, b), [_rand(4, B, 6, 4), _rand(5, B, 4, 5)], {}),
+    "conv1x1": (
+        lambda x, p: ops.conv1x1(x, p["w"], p["b"]),
+        [_rand(6, B, 4, 5, 6)],
+        {"w": _rand(7, 6, 4), "b": _rand(8, 6)},
+    ),
+    "conv1x1-no-bias": (lambda x, p: ops.conv1x1(x, p["w"]), [_rand(9, B, 4, 8, 8)], {"w": _rand(10, 2, 4)}),
+    # the conv receives its gradient channel-fastest, as under the fusion's
+    # token layout
+    "conv1x1-under-tokens": (
+        lambda x, p: ops.map_to_tokens(ops.conv1x1(x, p["w"], p["b"])),
+        [_rand(11, B, 8, 16, 16)],
+        {"w": _rand(12, 8, 8), "b": _rand(13, 8)},
+    ),
+    "depthwise_conv": (
+        lambda x, p: ops.depthwise_conv(x, p["w"], stride=2),
+        [_rand(14, B, 4, 8, 8)],
+        {"w": _rand(15, 4, 3, 3)},
+    ),
+    "layer_norm": (
+        lambda x, p: ops.layer_norm(x, p["g"], p["b"]),
+        [_rand(16, B, 4, 4, 6)],
+        {"g": _rand(17, 4), "b": _rand(18, 4)},
+    ),
+    "relu": (lambda x, p: ops.relu(x), [_rand(19, B, 4, 5)], {}),
+    "sigmoid": (lambda x, p: ops.sigmoid(x), [_rand(20, B, 4, 5)], {}),
+    "tanh": (lambda x, p: ops.tanh(x), [_rand(21, B, 4, 5)], {}),
+    "gelu": (lambda x, p: ops.gelu(x), [_rand(22, B, 4, 5)], {}),
+    "softmax": (lambda x, p: ops.softmax(x, axis=-1), [_rand(23, B, 16, 9)], {}),
+    "log_softmax": (lambda x, p: ops.log_softmax(x, axis=-1), [_rand(24, B, 16, 9)], {}),
+    "take": (lambda x, p: ops.take(x, TABLE), [_rand(25, B, 16, 4)], {}),
+    # tokens gathered from a map: a column-ordered token view, as in na_forward
+    "take-of-map-tokens": (lambda x, p: ops.take(ops.map_to_tokens(x), TABLE), [_rand(26, B, 4, 4, 4)], {}),
+    "map_to_tokens": (lambda x, p: ops.map_to_tokens(x), [_rand(27, B, 4, 5, 6)], {}),
+    "tokens_to_map": (lambda t, p: ops.tokens_to_map(t, 5, 6), [_rand(28, B, 30, 4)], {}),
+    "bilinear_sample": (
+        lambda x, c, p: ops.bilinear_sample(x, c),
+        [_rand(29, B, 4, 5, 6), np.random.default_rng(30).uniform(-1.2, 1.2, (B, 2, 7))],
+        {},
+    ),
+    "bilinear_sample-of-tokens": (
+        lambda x, c, p: ops.map_to_tokens(_as_map(ops.bilinear_sample(x, c))),
+        [_rand(31, B, 4, 8, 8), np.random.default_rng(32).uniform(-1.0, 1.0, (B, 2, 7))],
+        {},
+    ),
+}
+
+
+class TestBatchedOps:
+    """Every batch-aware op on (B, ...) inputs equals its per-element call
+    bit for bit: the value, each input's gradient, and each shared
+    weight's gradient summed over the elements."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_batch_equals_each_element(self, name, batch_check):
+        op, batched, shared = BATCH_CASES[name]
+        batch_check(op, batched, shared)
+
+    def test_shared_weight_gradient_sums_last_element_first(self):
+        # the order backward gives separate per-element graphs built in
+        # batch order; numpy's one-call sum over the batch rounds otherwise
+        parts = np.array([1.0, 1e-16, 1e-16])
+        w = as_node(np.ones((1, 1)))
+        backward((ops.matmul(w, parts.reshape(3, 1, 1))).sum())
+        assert w.grad[0, 0] == (1e-16 + 1e-16) + 1.0
+        assert w.grad[0, 0] != 1.0
+
+    def test_unstack_gives_each_element_with_its_gradient(self):
+        x = as_node(_rand(33, B, 4, 3, 3))
+        parts = ops.unstack(x)
+        assert [p.value.shape for p in parts] == [(4, 3, 3)] * B
+        assert all(np.array_equal(p.value, x.value[i]) for i, p in enumerate(parts))
+        probe = _rand(34, 9, 4)
+        backward((ops.map_to_tokens(parts[1]) * probe).sum())
+        lone = as_node(x.value[1])
+        backward((ops.map_to_tokens(lone) * probe).sum())
+        assert np.array_equal(x.grad[1], lone.grad)
+        assert x.grad[1].strides == lone.grad.strides  # laid out as a lone map's
+        assert not x.grad[0].any() and not x.grad[2].any()
+
+    def test_batched_matmul_rejects_mismatched_batches(self):
+        with pytest.raises(ShapeError):
+            ops.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 5)))
+
+    def test_bilinear_sample_rejects_unbatched_coords_for_a_batch(self):
+        with pytest.raises(ShapeError):
+            ops.bilinear_sample(np.ones((2, 1, 3, 3)), np.zeros((2, 4)))

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fusedet import ops, training
-from fusedet.autodiff import as_node
+from fusedet import fmp, ops, training
+from fusedet.autodiff import as_node, backward
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
 from fusedet.evaluation import Box, Detection, iou
-from fusedet.model import ModelConfig, init_params
-from fusedet.prototypes import PrototypeSet, task_encodings
+from fusedet.model import ModelConfig, init_params, query_features
+from fusedet.prototypes import PrototypeSet, extract_prototypes, task_encodings
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
     TrainConfig,
@@ -543,7 +543,7 @@ class TestInference:
 
         monkeypatch.setattr(training, "query_features", counting)
         protos = support_prototypes(index, instances, (0, 1), cfg, init_params(cfg, seed=0).nodes())
-        assert len(fused) == 1
+        assert len(fused) == 1 and fused[0].shape == (1, 4, 4, 4)
         assert protos.class_ids == (0, 1)
         assert np.array_equal(protos.values[0], protos.values[1])
 
@@ -554,3 +554,128 @@ class TestInference:
         twice = precompute_prototypes(index, [supports[0], supports[0]], cfg, params)
         assert np.allclose(once.values, twice.values, atol=1e-15)
         assert once.class_ids == twice.class_ids
+
+
+# The per-image fusion that one batched fusion per support draw and per
+# training step replaced, kept as oracles: each image fused in a graph of
+# its own, supports first, then the query.
+def oracle_support_prototypes(index, instances, classes, cfg, params):
+    grouped = {}
+    for c in classes:
+        for record in instances[c]:
+            grouped.setdefault(record.image_id, []).append(record)
+    supports = []
+    for image_id, records in grouped.items():
+        rgb, ir = index.load_pair(image_id)
+        supports.append((query_features(rgb, ir, cfg, params), records))
+    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
+
+
+def per_image_fusion(index, image_ids, cfg, params):
+    return [query_features(*index.load_pair(image_id), cfg, params) for image_id in image_ids]
+
+
+def oracle_train_loss(monkeypatch, *args):
+    """train_loss with each image fused in its own graph."""
+    with monkeypatch.context() as m:
+        m.setattr(training, "fuse_images", per_image_fusion)
+        return train_loss(*args)
+
+
+BATCH_MODEL = ModelConfig(
+    channels=8, classes_total=3, t_max=3, na_k=3, r=2, s=0.5, k_off=3, roi_out=2, roi_sampling=1,
+)
+BATCH_SPLIT = SplitSpec(base_classes=(0, 2), novel_classes=(1,))
+
+
+@pytest.fixture(scope="module")
+def batch_setup(tmp_path_factory):
+    """16x16 maps with up to two objects each, and a store whose offset
+    branch is live, so every fusion parameter has a gradient."""
+    scfg = SynthConfig(classes=3, images=12, channels=8, height=16, width=16, max_objects=2)
+    index = generate_synthetic(tmp_path_factory.mktemp("batch"), scfg, seed=0)
+    supports = build_supports(index, BATCH_SPLIT, k=2, n_seeds=2)
+    store = init_params(BATCH_MODEL, seed=0)
+    rng = np.random.default_rng(1)
+    for prefix in ("cda_rgb", "cda_ir"):
+        store.set_array(f"{prefix}.off_w", 2.0 * rng.standard_normal((2, 8)))
+        store.set_array(f"{prefix}.off_b", 0.3 * rng.standard_normal(2))
+    return index, supports, store
+
+
+def batch_episode(index, supports, kind):
+    """The first episode of a seeded stream that is of the asked kind."""
+    stage = "base" if kind == "base" else "finetune"
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        episode = sample_episode(
+            index, BATCH_SPLIT, stage, rng, supports[0], t_max=3, shots_per_slot=2
+        )
+        supported = {g.image_id for records in episode.support.values() for g in records}
+        if (kind == "query-is-support") == (episode.query_id in supported):
+            return episode
+    raise AssertionError(f"no {kind} episode drawn")
+
+
+class TestBatchedFusion:
+    @pytest.mark.parametrize("kind", ["base", "finetune", "query-is-support"])
+    def test_train_loss_equals_per_image_oracle(self, kind, batch_setup, monkeypatch):
+        index, supports, store = batch_setup
+        episode = batch_episode(index, supports, kind)
+        want_nodes, got_nodes = store.nodes(), store.nodes()
+        want = oracle_train_loss(monkeypatch, episode, index, BATCH_MODEL, TrainConfig(), want_nodes)
+        got = train_loss(episode, index, BATCH_MODEL, TrainConfig(), got_nodes)
+        assert got.value == want.value
+        backward(want)
+        backward(got)
+        for key in store.keys():
+            w, g = want_nodes[key].grad, got_nodes[key].grad
+            assert (w is None) == (g is None), key
+            assert w is None or np.array_equal(w, g), key
+        assert np.any(got_nodes["cda_rgb.wu"].grad)  # the offset branch is live
+
+    def test_train_loss_fuses_once_per_step(self, batch_setup, monkeypatch):
+        index, supports, store = batch_setup
+        episode = batch_episode(index, supports, "query-is-support")
+        fused = []
+
+        def counting(rgb, ir, *rest):
+            fused.append(rgb.shape)
+            return query_features(rgb, ir, *rest)
+
+        monkeypatch.setattr(training, "query_features", counting)
+        train_loss(episode, index, BATCH_MODEL, TrainConfig(), store.nodes())
+        images = {g.image_id for records in episode.support.values() for g in records}
+        assert fused == [(len(images) + 1, 8, 16, 16)]
+
+    def test_support_prototypes_equal_per_image_oracle(self, batch_setup):
+        index, supports, store = batch_setup
+        sset = supports[1]
+        classes = sorted(sset.instances)
+        probe = np.random.default_rng(2).standard_normal((len(classes), 8))
+        want_nodes, got_nodes = store.nodes(), store.nodes()
+        want = oracle_support_prototypes(index, sset.instances, classes, BATCH_MODEL, want_nodes)
+        got = support_prototypes(index, sset.instances, classes, BATCH_MODEL, got_nodes)
+        assert np.array_equal(got.values, want.values) and got.class_ids == want.class_ids
+        backward((want.s * probe).sum())
+        backward((got.s * probe).sum())
+        for key in store.keys():
+            w, g = want_nodes[key].grad, got_nodes[key].grad
+            assert (w is None) == (g is None), key
+            assert w is None or np.array_equal(w, g), key
+
+    def test_maps_of_different_shapes_fuse_one_by_one(self, tmp_path):
+        index = tiny_dataset(tmp_path)
+        entry = index.entries[sorted(index.entries)[0]]
+        paths = []
+        for name, m in zip(("rgb", "ir"), index.load_pair(entry.image_id)):
+            paths.append(tmp_path / f"wide_{name}.fmp")
+            fmp.write_map(paths[-1], np.tile(m, (1, 1, 2)))
+        index.add(dataclasses.replace(entry, image_id="wide", rgb_path=paths[0], ir_path=paths[1]))
+        cfg = ModelConfig(**TINY_MODEL)
+        params = init_params(cfg, seed=0).nodes()
+        ids = [sorted(index.entries)[0], "wide"]
+        maps = training.fuse_images(index, ids, cfg, params)
+        assert [m.value.shape for m in maps] == [(4, 4, 4), (4, 4, 8)]
+        for image_id, m in zip(ids, maps):
+            assert np.array_equal(m.value, query_features(*index.load_pair(image_id), cfg, params).value)
