@@ -71,15 +71,17 @@ def iou(a: Box, b: Box) -> float:
 
 
 def iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """IoU of one (x1, y1, x2, y2) box with each row of an (n, 4) array.
+    """IoU of one (x1, y1, x2, y2) box with each row of an (n, 4) array;
+    given a (k, 4) stack of boxes, the (k, n) matrix of such rows.
 
     The operations follow `iou` step for step, so each entry equals
     `iou` of the same two boxes bit for bit.
     """
-    ix = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
-    iy = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    x1, y1, x2, y2 = (box[..., c, None] for c in range(4))
+    ix = np.minimum(x2, boxes[:, 2]) - np.maximum(x1, boxes[:, 0])
+    iy = np.minimum(y2, boxes[:, 3]) - np.maximum(y1, boxes[:, 1])
     inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
-    area = (box[2] - box[0]) * (box[3] - box[1])
+    area = (x2 - x1) * (y2 - y1)
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     return inter / (area + areas - inter)
 

@@ -206,11 +206,15 @@ def gelu(x) -> Node:
 
 
 def softmax(x, axis: int) -> Node:
-    """Max-subtracted softmax along one axis; rows sum to 1."""
+    """Max-subtracted softmax along one axis; rows sum to 1.
+
+    Computed in one buffer: the exponent and the division overwrite the
+    shifted copy, which keeps its layout.
+    """
     x = as_node(x)
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x.value - x.value.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
     return Node(
         s,
         (x,),

@@ -188,14 +188,26 @@ def train_loss(
     return meta * tcfg.lambda_meta + cls * tcfg.lambda_cls + box_term * tcfg.lambda_box
 
 
+# Candidates resolved per block in `nms`: one IoU matrix over a block and
+# one from its kept boxes to the rest replace a call per kept box.  On
+# dense 32x32 images blocks of 16, 32 and 64 ran alike, 128 a third slower.
+NMS_BLOCK = 32
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, thr: float = 0.5) -> np.ndarray:
     """Greedy same-label suppression at the IoU threshold, over one image's
     (n, 4) boxes, (n,) scores and (n,) integer labels.
 
     Candidates are ranked by descending score, ties in input order.  Each
     label's candidates are walked in rank order; a kept box drops every
-    later box of its label whose IoU with it is at least `thr`.  Returns
-    the kept row indices in rank order.
+    later box of its label whose IoU with it is at least `thr` (or NaN).
+    Returns the kept row indices in rank order.
+
+    The walk takes the NMS_BLOCK best surviving candidates at a time: on
+    the block's IoU matrix a candidate is kept when every block member
+    kept before it clears it; then the later candidates that one of the
+    block's kept boxes does not clear are dropped at once.  The IoUs are
+    those of a box-by-box walk, kept box first, so the kept set is too.
     """
     rank = np.argsort(-scores, kind="stable")
     ranked_labels = labels[rank]
@@ -203,9 +215,16 @@ def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, thr: float = 
     for label in np.unique(labels):
         rest = rank[ranked_labels == label]
         while rest.size:
-            top, rest = rest[0], rest[1:]
-            keep[top] = True
-            rest = rest[iou_row(boxes[top], boxes[rest]) < thr]
+            block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
+            clear = (iou_row(boxes[block], boxes[block]) < thr).tolist()
+            rows = []
+            for i in range(len(block)):
+                if all(clear[k][i] for k in rows):
+                    rows.append(i)
+            kept = block[rows]
+            keep[kept] = True
+            if rest.size:
+                rest = rest[(iou_row(boxes[kept], boxes[rest]) < thr).all(axis=0)]
     return rank[keep[rank]]
 
 

@@ -176,6 +176,25 @@ class TestSoftmax:
         project_and_check(lambda p: (ops.softmax(p["x"], 1) * probe).sum(), store)
         project_and_check(lambda p: (ops.log_softmax(p["x"], 1) * probe).sum(), store)
 
+    @pytest.mark.parametrize(
+        "shape, axis, transposed",
+        [((1024, 256), 1, False), ((256, 1024), 1, True), ((3, 5, 16, 9), -1, False)],
+    )
+    def test_in_place_equals_three_line_formula(self, shape, axis, transposed):
+        # the one-buffer softmax against the formula it replaced: same bits,
+        # same memory layout, and the input left as it was
+        x = np.random.default_rng(13).standard_normal(shape) * 4.0
+        if transposed:
+            x = x.T  # a column-ordered input keeps its order
+        before = x.copy()
+        shifted = x - x.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=axis, keepdims=True)
+        got = ops.softmax(x, axis).value
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.strides == want.strides
+        assert np.array_equal(x, before)
+
 
 class TestSqrtAbs:
     def test_values(self):

@@ -12,6 +12,7 @@ from fusedet.model import ModelConfig, init_params, query_features
 from fusedet.prototypes import PrototypeSet, extract_prototypes, task_encodings
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
+    NMS_BLOCK,
     TrainConfig,
     ablate_thermal,
     center_cell,
@@ -304,6 +305,45 @@ class TestNms:
         for _ in range(40):
             assert_matches_oracle_per_image(continuous_detections(rng, int(rng.integers(0, 120))), 0.5)
 
+    @pytest.mark.parametrize("n", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1, 2 * NMS_BLOCK + 1])
+    def test_matches_greedy_oracle_across_block_edges(self, n):
+        # one label, so the candidates end just before, at and just after
+        # a block's edge; boxes crowd a small area, so blocks keep some
+        # boxes and suppress others
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            dets = [Detection(d.box, d.score, 0, "a") for d in grid_detections(rng, n)]
+            for thr in (0.3, 0.5):
+                assert_same_detections(nms_dets(dets, thr), oracle_nms(dets, thr))
+        # spread-out boxes: nothing overlaps, every block keeps all its boxes
+        dets = [det(2.0 * k, 0.0, 2.0 * k + 1, 1.0, float(rng.choice([0.2, 0.6]))) for k in range(n)]
+        assert_same_detections(nms_dets(dets), oracle_nms(dets))
+        assert len(nms_dets(dets)) == n
+
+    def test_matches_greedy_oracle_on_a_dense_candidate_set(self):
+        # the shape of toy_head's candidates on a 32x32 map at score_thr 0:
+        # one box per cell, repeated for each of three labels, 3072 rows;
+        # scores come from a few values, so ties span block edges
+        rng = np.random.default_rng(32)
+        h = w = 32
+        i, j = np.divmod(np.arange(h * w), w)
+        reg = rng.choice([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0], size=(h * w, 4))
+        x1 = np.clip(j + 0.5 - np.abs(reg[:, 0]), 0.0, w)
+        y1 = np.clip(i + 0.5 - np.abs(reg[:, 1]), 0.0, h)
+        x2 = np.clip(j + 0.5 + np.abs(reg[:, 2]), 0.0, w)
+        y2 = np.clip(i + 0.5 + np.abs(reg[:, 3]), 0.0, h)
+        dets = [
+            Detection(Box(*box), float(score), label, "a")
+            for label in (4, 0, 7)
+            for box, score in zip(
+                np.stack([x1, y1, x2, y2], axis=1).tolist(), rng.choice([0.1, 0.3, 0.5, 0.9], size=h * w)
+            )
+        ]
+        assert len(dets) == 3072
+        kept = nms_dets(dets)
+        assert_same_detections(kept, oracle_nms(dets))
+        assert 3 * NMS_BLOCK < len(kept) < len(dets)
+
 
 class TestToyHead:
     @staticmethod
@@ -384,6 +424,24 @@ class TestToyHead:
         f_cam = np.tile(t[0][:, None, None], (1, 4, 5))
         got = toy_head(f_cam, protos, params, cfg, "q")
         assert got
+        assert_same_detections(got, oracle_toy_head(f_cam, protos, params, cfg, "q"))
+
+    def test_matches_loop_oracle_on_a_dense_map(self):
+        # a 32x32 map at score_thr 0: every cell x slot is a candidate, so
+        # nms walks many blocks per label
+        cfg = ModelConfig(**TINY_MODEL, score_thr=0.0)
+        rng = np.random.default_rng(33)
+        t = rng.standard_normal((3, 4))
+        protos = PrototypeSet(s=t.copy(), t=t, class_ids=(2, 0, 1))
+        store = init_params(cfg, seed=0)
+        store.set_array("head.box_w", rng.standard_normal((4, 4)) * 0.5)
+        store.set_array("head.box_b", np.array([-1.5, -1.5, 1.5, 1.5]))
+        store.set_array("head.obj_w", rng.standard_normal((1, 4)))
+        params = store.nodes()
+        f_cam = rng.standard_normal((4, 32, 32))
+        f_cam[:, ::2, ::3] = f_cam[:, :1, :1]  # repeated cells: score ties
+        got = toy_head(f_cam, protos, params, cfg, "q")
+        assert len(got) > 3 * NMS_BLOCK
         assert_same_detections(got, oracle_toy_head(f_cam, protos, params, cfg, "q"))
 
     @pytest.mark.parametrize("bad", ["nan-cell", "nan-map", "inf-box"])
