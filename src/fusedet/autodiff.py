@@ -13,14 +13,13 @@ order) is bit-identical.
 """
 from __future__ import annotations
 
-import math
-import struct
 from collections.abc import Callable, Mapping
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, PreconditionError, ShapeError
+from . import fmp
+from .errors import PreconditionError, ShapeError
 
 Array = np.ndarray
 VJP = Callable[[Array], Array]
@@ -196,9 +195,6 @@ def backward(loss: Node) -> None:
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
-_PSTORE_MAGIC = b"PST1"
-
-
 class ParamStore:
     """Named float64 parameter arrays with deterministic initialization."""
 
@@ -257,47 +253,13 @@ class ParamStore:
     # -- serialization ---------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_PSTORE_MAGIC)
-            fh.write(struct.pack("<qI", self.seed, len(self._arrays)))
-            for key in sorted(self._arrays):
-                arr = self._arrays[key]
-                raw = key.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fmp.write_arrays(path, self._arrays, self.seed)
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _PSTORE_MAGIC:
-            raise PreconditionError(f"bad parameter-store magic in {path}")
-        off = 4
-
-        def take(n: int, what: str) -> bytes:
-            nonlocal off
-            if off + n > len(blob):
-                raise ParseError(f"{path}: truncated at {len(blob)} bytes, reading {what}")
-            off += n
-            return blob[off - n : off]
-
-        seed, count = struct.unpack("<qI", take(12, "the header"))
+        seed, arrays = fmp.read_arrays(path)
         store = cls(seed)
-        for _ in range(count):
-            (klen,) = struct.unpack("<H", take(2, "a key length"))
-            try:
-                key = take(klen, "a key").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: parameter key is not UTF-8") from exc
-            (ndim,) = struct.unpack("<B", take(1, f"the rank of {key}"))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {key}"))
-            data = np.frombuffer(take(8 * math.prod(shape), f"the values of {key}"), dtype="<f8")
-            store.add(key, data.reshape(shape).astype(np.float64))
-        if off != len(blob):
-            raise PreconditionError(f"trailing bytes in parameter store {path}")
+        store._arrays = arrays
         return store
 
 

@@ -16,7 +16,8 @@ class PreconditionError(FusedetError, ValueError):
 
 
 class ParseError(FusedetError, ValueError):
-    """A text file could not be parsed; carries the 1-based line number."""
+    """A text or binary file could not be parsed; a text file's error
+    carries the 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -96,7 +96,8 @@ def match(dets: list[Detection], gts: list[GroundTruth], thr: float) -> list[boo
 
     Detections are processed by descending score (ties keep input order);
     each claims the unmatched ground truth of its image and class with the
-    highest IoU at or above the threshold, the first such on a tie.
+    highest IoU at or above the threshold, the first such on a tie.  Each
+    (image, class) group's IoU matrix is one `iou_row` call.
     """
     if not 0 < thr < 1:
         raise PreconditionError(f"threshold {thr} outside (0, 1)")
@@ -104,21 +105,24 @@ def match(dets: list[Detection], gts: list[GroundTruth], thr: float) -> list[boo
     for j, gt in enumerate(gts):
         gt_groups.setdefault((gt.image_id, gt.class_id), []).append(j)
     det_groups: dict[tuple[str, int], list[int]] = {}
-    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+    for i in np.argsort([-d.score for d in dets], kind="stable").tolist():
         det_groups.setdefault((dets[i].image_id, dets[i].class_id), []).append(i)
     det_boxes = box_array([d.box for d in dets])
     flags = [False] * len(dets)
     for key, det_ids in det_groups.items():
         gt_boxes = box_array([gts[j].box for j in gt_groups.get(key, [])])
+        # below the threshold an IoU can never be claimed, so it reads as taken
+        ious = iou_row(det_boxes[det_ids], gt_boxes)
+        ious[ious < thr] = -1.0
         free = np.ones(len(gt_boxes), dtype=bool)
-        for i in det_ids:
-            if not free.any():
-                break
-            row = np.where(free, iou_row(det_boxes[i], gt_boxes), -1.0)
+        for r in np.flatnonzero(ious.max(axis=1, initial=-1.0) >= thr):
+            row = np.where(free, ious[r], -1.0)
             best = int(np.argmax(row))
             if row[best] >= thr:
                 free[best] = False
-                flags[i] = True
+                flags[det_ids[r]] = True
+                if not free.any():
+                    break
     return flags
 
 
@@ -134,16 +138,13 @@ def average_precision(
         return 0.0
     if not cdets:
         return 0.0
-    flags = match(cdets, cgts, thr)
-    order = sorted(range(len(cdets)), key=lambda i: -cdets[i].score)
-    tp = np.cumsum([1.0 if flags[i] else 0.0 for i in order])
-    fp = np.cumsum([0.0 if flags[i] else 1.0 for i in order])
+    hits = np.array(match(cdets, cgts, thr))[np.argsort([-d.score for d in cdets], kind="stable")]
+    tp = np.cumsum(hits, dtype=np.float64)
+    fp = np.cumsum(~hits, dtype=np.float64)
     recall = tp / len(cgts)
     precision = tp / (tp + fp)
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import fmp, ops
 from .autodiff import Node, ParamStore, as_node
 from .deformable import normalize_coords
 from .errors import NumericGuardError, PreconditionError, ShapeError
@@ -212,27 +212,23 @@ def average_prototypes(per_seed: list[PrototypeSet]) -> PrototypeSet:
 
 
 def save_prototypes(path, protos: PrototypeSet) -> None:
-    """One parameter-store file: `prototypes` (C, D) and `class_ids` (C,)."""
-    store = ParamStore()
-    store.add("prototypes", protos.values)
-    store.add("class_ids", protos.class_ids)
-    store.save(path)
+    """One container file: `prototypes` (C, D) and `class_ids` (C,)."""
+    fmp.write_arrays(path, {"prototypes": protos.values, "class_ids": protos.class_ids})
 
 
 def load_prototypes(path) -> PrototypeSet:
     """Read what save_prototypes wrote, rejecting a missing key, a wrong
-    rank or length, non-finite values, and non-integral or repeated ids."""
-    store = ParamStore.load(path)
-    missing = [k for k in ("prototypes", "class_ids") if k not in store]
+    rank or length, and non-integral or repeated ids; the container
+    reader rejects non-finite values."""
+    _, arrays = fmp.read_arrays(path)
+    missing = [k for k in ("prototypes", "class_ids") if k not in arrays]
     if missing:
         raise PreconditionError(f"{path}: missing {', '.join(missing)}")
-    values, ids = store.array("prototypes"), store.array("class_ids")
+    values, ids = arrays["prototypes"], arrays["class_ids"]
     if values.ndim != 2:
         raise ShapeError(f"{path}: prototypes must be (C, D), got {values.shape}")
     if ids.shape != values.shape[:1]:
         raise ShapeError(f"{path}: {values.shape[0]} prototype rows but class ids shaped {ids.shape}")
-    if not (np.isfinite(values).all() and np.isfinite(ids).all()):
-        raise NumericGuardError(f"{path}: non-finite prototype values or class ids")
     if not np.array_equal(ids, np.round(ids)):
         raise PreconditionError(f"{path}: class ids {ids.tolist()} are not all integers")
     c, d = values.shape

@@ -132,25 +132,20 @@ def _check_task_encodings() -> None:
     assert np.array_equal(a[0, 1::2], np.ones(4)), "slot 0 cosines not one"
 
 
-def _check_fmp_round_trip() -> None:
+def _check_container_round_trip() -> None:
     rng = np.random.default_rng(31)
     x = rng.standard_normal((3, 4, 5))
-    with tempfile.TemporaryDirectory() as tmp:
-        p = Path(tmp) / "map.fmp"
-        fmp.write_map(p, x)
-        y = fmp.read_map(p)
-    assert np.array_equal(x, y), "map round-trip not bit-exact"
-
-
-def _check_pstore_round_trip() -> None:
     store = ParamStore(seed=9)
     store.xavier_uniform("a.w", (3, 4), 4, 3)
     store.zeros("a.b", (3,))
     with tempfile.TemporaryDirectory() as tmp:
-        p = Path(tmp) / "params.pst"
-        store.save(p)
-        back = ParamStore.load(p)
-    assert sorted(back.keys()) == sorted(store.keys()), "parameter keys changed in round-trip"
+        fmp.write_map(Path(tmp) / "map.fmp", x)
+        y = fmp.read_map(Path(tmp) / "map.fmp")
+        store.save(Path(tmp) / "params.pst")
+        back = ParamStore.load(Path(tmp) / "params.pst")
+    assert np.array_equal(x, y), "map round-trip not bit-exact"
+    assert back.seed == store.seed, "parameter seed changed in round-trip"
+    assert back.keys() == sorted(store.keys()), "parameter keys changed in round-trip"
     for key in store.keys():
         assert np.array_equal(store.array(key), back.array(key)), f"{key} changed in round-trip"
 
@@ -175,8 +170,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("offset-bound", _check_offset_bound),
     ("reference-grid-corners", _check_reference_grid),
     ("task-encoding-determinism", _check_task_encodings),
-    ("map-file-round-trip", _check_fmp_round_trip),
-    ("param-file-round-trip", _check_pstore_round_trip),
+    ("container-round-trip", _check_container_round_trip),
     ("annotation-round-trip", _check_annotation_round_trip),
 )
 

@@ -105,7 +105,7 @@ def _random_box(cfg: SynthConfig, rng: np.random.Generator) -> Box:
 
 
 def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "pair") -> DatasetIndex:
-    """Write FMP1 map pairs, the annotation index, and a ground-truth
+    """Write map pairs (one container file per map), the annotation index, and a ground-truth
     interchange file under out_dir; return the in-memory index."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -177,7 +177,7 @@ class TestParamStore:
     def test_load_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pst"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParseError, match="magic"):
             ParamStore.load(path)
 
     def test_load_rejects_every_truncation(self, tmp_path):
@@ -209,7 +209,7 @@ class TestParamStore:
         path = tmp_path / "p.pst"
         store.save(path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ParseError, match="trailing"):
             ParamStore.load(path)
 
 

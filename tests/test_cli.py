@@ -12,12 +12,15 @@ from fusedet.evaluation import (
     Box,
     Detection,
     GroundTruth,
+    nap50,
+    read_detections,
     read_ground_truths,
     write_detections,
     write_ground_truths,
 )
-from fusedet.errors import ParseError
+from fusedet.errors import NumericGuardError, ParseError, PreconditionError, ShapeError
 from fusedet.model import ModelConfig, init_params, query_features
+from fusedet.prototypes import load_prototypes
 from fusedet.neighborhood import NAConfig
 from fusedet.selftest import CHECKS
 from fusedet.synth import SynthConfig, generate_synthetic
@@ -47,6 +50,17 @@ split.base = 0
 split.novel = 1
 """
 
+# TINY_CFG's 4x4 maps decode no valid box after its 2 + 2 steps; the same
+# run on 8x8 maps writes detections, so a file round trip carries records.
+BOXES_CFG = TINY_CFG.replace("synth.height = 4", "synth.height = 8").replace("synth.width = 4", "synth.width = 8")
+
+
+def old_fmp_bytes(array) -> bytes:
+    """A map in the earlier FMP1 format: magic, three u32 D, H, W, then
+    the float64 values."""
+    d, h, w = array.shape
+    return b"FMP1" + b"".join(n.to_bytes(4, "little") for n in (d, h, w)) + array.astype("<f8").tobytes()
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -54,9 +68,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_cfg(tmp_path):
+def write_cfg(tmp_path, text=TINY_CFG):
     p = tmp_path / "run.cfg"
-    p.write_text(TINY_CFG)
+    p.write_text(text)
     return str(p)
 
 
@@ -139,6 +153,13 @@ class TestFuse:
         code, _, err = run(capsys, "fuse", "--rgb", pa, "--ir", str(other), "--out", str(tmp_path / "o.fmp"))
         assert code == 2 and "shape" in err.lower()
 
+    def test_old_fmp1_map_exits_2(self, tmp_path, capsys):
+        a, _, _, pb = small_maps(tmp_path)
+        old = tmp_path / "old.fmp"
+        old.write_bytes(old_fmp_bytes(a))
+        code, _, err = run(capsys, "fuse", "--rgb", str(old), "--ir", pb, "--out", str(tmp_path / "o.fmp"))
+        assert code == 2 and "magic" in err
+
     def test_params_missing_a_key_exits_2(self, tmp_path, capsys):
         _, _, pa, pb = small_maps(tmp_path)
         partial = ParamStore(seed=0)
@@ -217,8 +238,8 @@ class TestFuse:
 
 
 class TestPipeline:
-    def run_pipeline(self, tmp_path, capsys, tag):
-        cfg = write_cfg(tmp_path)
+    def run_pipeline(self, tmp_path, capsys, tag, cfg_text=TINY_CFG):
+        cfg = write_cfg(tmp_path, cfg_text)
         data = tmp_path / f"data{tag}"
         rundir = tmp_path / f"run{tag}"
         dets = tmp_path / f"dets{tag}.txt"
@@ -243,10 +264,13 @@ class TestPipeline:
         return data, rundir, dets, (gen_out, train_out, infer_out, eval_out)
 
     def test_end_to_end_through_files(self, tmp_path, capsys):
-        data, rundir, dets, outs = self.run_pipeline(tmp_path, capsys, "0")
+        data, rundir, dets, outs = self.run_pipeline(tmp_path, capsys, "0", BOXES_CFG)
         assert sorted(p.name for p in rundir.iterdir()) == ["log.txt", "params.pst", "protos.pst"]
         assert len((rundir / "log.txt").read_text().splitlines()) == 4
-        assert "nAP50" in outs[3]
+        records = read_detections(dets)
+        assert records and f"wrote {len(records)} detections for 8 images" in outs[2]
+        # eval scores the records the file holds
+        assert f"nAP50 {nap50(records, read_ground_truths(data / 'gts.txt'), [1]):.4f}" in outs[3]
         # every command echoes its resolved configuration
         for out in outs:
             assert "# resolved configuration" in out
@@ -394,7 +418,7 @@ class TestCorruptPrototypes:
         # the earlier format: an FMP map (1, C, D) plus a .classes sidecar
         protos = ParamStore.load(trained[1] / "protos.pst").array("prototypes")
         old = tmp_path / "protos.fmp"
-        fmp.write_map(old, protos[None])
+        old.write_bytes(old_fmp_bytes(protos[None]))
         (tmp_path / "protos.fmp.classes").write_text("0\n1\n")
         code, _, err = self.infer(capsys, trained, old)
         assert code == 2 and "magic" in err
@@ -613,6 +637,31 @@ def test_every_truncation_and_byte_flip_parses_or_raises_parse_error(small_datas
             reader(target)
         except (ParseError, FileNotFoundError):
             pass
+
+
+@pytest.mark.parametrize(
+    "name, reader", [("map.fmp", fmp.read_map), ("params.pst", ParamStore.load), ("protos.pst", load_prototypes)]
+)
+def test_every_truncation_and_byte_flip_of_a_binary_file(small_dataset, trained, tmp_path, name, reader):
+    """Each prefix of a generated map, params.pst and protos.pst, and each
+    single-byte flip of it (xor 0x20), either reads back or raises
+    ParseError (exit 2) or NumericGuardError (exit 3).  A prototype file
+    whose container reads cleanly may still fail load_prototypes' content
+    checks, which exit 2 as well."""
+    source = sorted(small_dataset.glob("*.fmp"))[0] if name == "map.fmp" else trained[1] / name
+    raw = source.read_bytes()
+    target = tmp_path / name
+    variants = [raw[:n] for n in range(len(raw))]
+    variants += [raw[:i] + bytes([raw[i] ^ 0x20]) + raw[i + 1 :] for i in range(len(raw))]
+    for data in variants:
+        target.write_bytes(data)
+        try:
+            reader(target)
+        except (ParseError, NumericGuardError):
+            pass
+        except (PreconditionError, ShapeError):
+            assert name == "protos.pst"
+            fmp.read_arrays(target)  # the container itself was sound
 
 
 class TestSelftest:

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from fusedet.evaluation import (
     Detection,
     GroundTruth,
     average_precision,
+    box_array,
     iou,
     iou_row,
     match,
@@ -65,6 +69,52 @@ def loop_match(dets, gts, thr):
             taken[best] = True
             flags[i] = True
     return flags
+
+
+def row_match(dets, gts, thr):
+    """The matcher `match` replaced, kept verbatim as the oracle for its
+    differential test: one `iou_row` call per detection."""
+    gt_groups = {}
+    for j, g in enumerate(gts):
+        gt_groups.setdefault((g.image_id, g.class_id), []).append(j)
+    det_groups = {}
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        det_groups.setdefault((dets[i].image_id, dets[i].class_id), []).append(i)
+    det_boxes = box_array([d.box for d in dets])
+    flags = [False] * len(dets)
+    for key, det_ids in det_groups.items():
+        gt_boxes = box_array([gts[j].box for j in gt_groups.get(key, [])])
+        free = np.ones(len(gt_boxes), dtype=bool)
+        for i in det_ids:
+            if not free.any():
+                break
+            row = np.where(free, iou_row(det_boxes[i], gt_boxes), -1.0)
+            best = int(np.argmax(row))
+            if row[best] >= thr:
+                free[best] = False
+                flags[i] = True
+    return flags
+
+
+def loop_average_precision(dets, gts, class_id, thr=0.5):
+    """All-point AP with `row_match` and the backward envelope loop
+    `average_precision` replaced, as the oracle for its differential test."""
+    cdets = [d for d in dets if d.class_id == class_id]
+    cgts = [g for g in gts if g.class_id == class_id]
+    if not cgts or not cdets:
+        return 0.0
+    flags = row_match(cdets, cgts, thr)
+    order = sorted(range(len(cdets)), key=lambda i: -cdets[i].score)
+    tp = np.cumsum([1.0 if flags[i] else 0.0 for i in order])
+    fp = np.cumsum([0.0 if flags[i] else 1.0 for i in order])
+    recall = tp / len(cgts)
+    precision = tp / (tp + fp)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
 def grid_box(rng):
@@ -205,6 +255,61 @@ class TestMatch:
                 for _ in range(int(rng.integers(0, 14)))
             ]
             assert match(dets, gts, thr) == loop_match(dets, gts, thr)
+
+
+    def test_iou_tie_goes_to_the_first_ground_truth(self):
+        # the top detection overlaps both halves at IoU 0.5; claiming the
+        # top half leaves the bottom half to the second detection
+        gts = [gt((0, 0, 2, 1)), gt((0, 1, 2, 2))]
+        dets = [det(0.9, (0, 0, 2, 2)), det(0.8, (0, 1, 2, 2))]
+        assert match(dets, gts, 0.5) == [True, True]
+        assert match(dets, gts[::-1], 0.5) == [True, False]
+
+    def test_many_tied_scores_match_row_oracle_bit_for_bit(self):
+        # three score levels over crowded images: ties decide most claims
+        rng = np.random.default_rng(11)
+        gts = [
+            gt(grid_box(rng), image_id=f"i{k % 4}", class_id=int(rng.integers(0, 2))) for k in range(60)
+        ]
+        dets = [
+            det(float(rng.choice([0.25, 0.5, 0.75])), grid_box(rng), image_id=f"i{k % 4}",
+                class_id=int(rng.integers(0, 2)))
+            for k in range(600)
+        ]
+        for thr in (0.3, 0.5, 0.7):
+            flags = match(dets, gts, thr)
+            assert flags == row_match(dets, gts, thr) and 0 < sum(flags) < len(gts)
+            for c in (0, 1):
+                assert average_precision(dets, gts, c, thr) == loop_average_precision(dets, gts, c, thr)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module", params=[900, 901, 902])
+def dense_round(request, tmp_path_factory):
+    """Detections and ground truths of one benchmark dense round: the
+    trained fixture over 48 held-out 32x32 pairs at score_thr 0."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    from fusedet.training import gts_of
+
+    work = tmp_path_factory.mktemp(f"dense{request.param}")
+    inputs = workloads.make_inputs(work, request.param, workloads.DENSE)
+    store = workloads.load_fixture(workloads.MODEL)
+    dets, _ = workloads.detect_round(inputs, store.nodes(), workloads.prototypes_of(inputs, store))
+    return dets, gts_of(inputs.heldout, inputs.heldout.image_ids())
+
+
+def test_dense_round_matches_row_oracle_bit_for_bit(dense_round):
+    dets, gts = dense_round
+    assert len(dets) > 10_000
+    assert match(dets, gts, 0.5) == row_match(dets, gts, 0.5)
+    for c in (0, 1, 2):
+        assert average_precision(dets, gts, c, 0.5) == loop_average_precision(dets, gts, c, 0.5)
 
 
 class TestAveragePrecision:
