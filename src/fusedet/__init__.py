@@ -14,7 +14,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .evaluation import Box, Detection, GroundTruth, average_precision, iou, match, nap50
+from .evaluation import Box, Detection, GroundTruth, average_precision, match, nap50
 from .model import ModelConfig, init_params, query_features
 from .neighborhood import NAConfig, na_forward
 from .prototypes import (
@@ -69,7 +69,6 @@ __all__ = [
     "grad_check",
     "infer",
     "init_params",
-    "iou",
     "load_index",
     "match",
     "na_forward",

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,6 +146,9 @@ def cmd_infer(args) -> int:
     missing = [i for i in ids if i not in index.entries]
     if missing:
         raise PreconditionError(f"image ids not in index: {missing}")
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise PreconditionError(f"image ids given more than once: {repeated}")
     store = _load_params(args.params, init_params(model))
     protos = load_prototypes(args.protos)
     dets = detect_over(index, ids, protos, model, store.nodes())
@@ -179,7 +183,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _resolve(args)[1].seed
     worst_overall = 0.0
     failures = 0
     with tempfile.TemporaryDirectory(prefix="fusedet-gradcheck-") as tmp:

@@ -61,21 +61,11 @@ class GroundTruth:
     image_id: str
 
 
-def iou(a: Box, b: Box) -> float:
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
 def iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """IoU of one (x1, y1, x2, y2) box with each row of an (n, 4) array;
     given a (k, 4) stack of boxes, the (k, n) matrix of such rows.
 
-    The operations follow `iou` step for step, so each entry equals
-    `iou` of the same two boxes bit for bit.
+    Boxes that are disjoint or only share an edge have IoU 0.
     """
     x1, y1, x2, y2 = (box[..., c, None] for c in range(4))
     ix = np.minimum(x2, boxes[:, 2]) - np.maximum(x1, boxes[:, 0])

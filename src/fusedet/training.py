@@ -39,6 +39,8 @@ class TrainConfig:
     support_index: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise PreconditionError(f"seed {self.seed} must be nonnegative")
         if self.steps_base < 0 or self.steps_finetune < 0:
             raise PreconditionError("step counts must be nonnegative")
         if self.lr < 0:

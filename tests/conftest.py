@@ -2,6 +2,18 @@ import numpy as np
 import pytest
 
 from fusedet.autodiff import Node, backward
+from fusedet.evaluation import Box
+
+
+def iou(a: Box, b: Box) -> float:
+    """Scalar IoU of two boxes, the oracle for `evaluation.iou_row`: each
+    entry of a row equals this value of the same two boxes bit for bit."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
 
 
 def assert_batch_matches_elements(op, batched, shared=None, seed=0):

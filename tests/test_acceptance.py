@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fusedet.audit import fusion_grad_case, train_grad_case, zero_grad_keys
+from fusedet.audit import AUDIT_CASES, GRAD_TOL, zero_grad_keys
 from fusedet.autodiff import ParamStore, grad_check, min_abs_grad
 from fusedet.cli import main
 from fusedet.data import SplitSpec, build_supports, sample_episode
@@ -23,13 +23,6 @@ from fusedet.evaluation import (
 )
 from fusedet.model import ModelConfig
 from fusedet.neighborhood import NAConfig, init_na_params, na_forward, na_oracle
-from fusedet.prototypes import (
-    PrototypeSet,
-    cam_forward,
-    cosine_ce_loss,
-    init_cam_params,
-    task_encodings,
-)
 from fusedet.selftest import CHECKS, cda_dense_oracle
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
@@ -84,66 +77,26 @@ def test_criterion_02_zero_offset_attention_matches_dense_oracle():
     report(2, f"zero-offset r=1 attention vs dense oracle, 20 pairs, max abs err {worst:.3e} <= 1e-10")
 
 
+# Floors on the smallest analytic gradient: a guard against a conditioning
+# regression, under which a finite-difference error would be mere noise.
+MIN_GRAD = {"fusion": 1e-3, "training-loss": 5e-5}
+
+
 def test_criterion_03_gradient_audit(tmp_path):
-    # Seeds below are verified well-conditioned: analytic gradients sit
-    # above the central-difference noise floor and sampling points stay
-    # clear of relu and bilinear kinks, so a failure means a real defect.
     errs = {}
+    for name, case, seeds in AUDIT_CASES:
+        worst = 0.0
+        for seed in seeds:
+            store, build = case(seed, tmp_path / f"{name}-{seed}")
+            if name in MIN_GRAD:
+                assert min_abs_grad(build, store) >= MIN_GRAD[name], f"{name} seed {seed} lost conditioning"
+            assert not zero_grad_keys(build, store), f"{name} seed {seed}: keys with all-zero gradient"
+            worst = max(worst, grad_check(build, store))
+        errs[name] = worst
 
-    worst = 0.0
-    for seed in (0, 1, 2):
-        rng = np.random.default_rng(seed)
-        d = 3
-        store = ParamStore(seed=seed)
-        init_na_params(store, "na", d)
-        x = rng.standard_normal((d, 4, 4))
-        probe = rng.standard_normal((d, 4, 4))
-        cfg = NAConfig(k=3, channels=d)
-        worst = max(worst, grad_check(lambda p: (na_forward(x, cfg, p, "na") * probe).sum(), store))
-    errs["window attention"] = worst
-
-    worst = 0.0
-    for seed in (2, 4, 7):
-        store, build = fusion_grad_case(seed)
-        assert min_abs_grad(build, store) >= 1e-3, f"fusion seed {seed} lost conditioning"
-        worst = max(worst, grad_check(build, store))
-    errs["fusion (incl. deformed bilinear sampling)"] = worst
-
-    worst = 0.0
-    for seed in (0, 2, 3):
-        rng = np.random.default_rng(seed)
-        c, d = 2, 4
-        store = ParamStore(seed=seed)
-        init_cam_params(store, "cam", d)
-        store.xavier_uniform("meta.class_weights", (c, d), d, c)
-        store.xavier_uniform("protos", (c, d), d, c)
-        f_q = rng.standard_normal((d, 3, 3))
-        probe = rng.standard_normal((d, 3, 3))
-        t = task_encodings(c, d)
-
-        def build(p):
-            protos = PrototypeSet(s=p["protos"], t=t, class_ids=(0, 1))
-            return (cam_forward(f_q, protos, p) * probe).sum() + cosine_ce_loss(
-                p["protos"], p["meta.class_weights"], [0, 1]
-            )
-
-        worst = max(worst, grad_check(build, store))
-    errs["aggregation + cosine loss"] = worst
-
-    # These three seeds are empirically verified: their finite-difference
-    # errors were audited end to end, so the floor assert is only a guard
-    # against a catastrophic conditioning regression.
-    worst = 0.0
-    for seed in (174, 305, 319):
-        store, build = train_grad_case(tmp_path / f"grad{seed}", seed)
-        assert min_abs_grad(build, store) >= 5e-5, f"training seed {seed} lost conditioning"
-        assert not zero_grad_keys(build, store), f"training seed {seed}: keys with all-zero gradient"
-        worst = max(worst, grad_check(build, store))
-    errs["training loss"] = worst
-
-    assert all(e <= 1e-6 for e in errs.values()), errs
+    assert all(e <= GRAD_TOL for e in errs.values()), errs
     detail = ", ".join(f"{name} {err:.3e}" for name, err in errs.items())
-    report(3, f"grad check over 3 seeds each <= 1e-6: {detail}")
+    report(3, f"grad check over the verified seeds of each family <= {GRAD_TOL:g}: {detail}")
 
 
 def test_criterion_04_offset_bound():

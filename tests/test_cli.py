@@ -307,6 +307,16 @@ class TestPipeline:
         )
         assert code == 2 and "ghost" in err
 
+    def test_infer_repeated_id_exits_2(self, tmp_path, capsys, trained):
+        data, rundir, cfg = trained
+        code, _, err = run(
+            capsys, "infer", "--data", str(data / "index.txt"),
+            "--params", str(rundir / "params.pst"), "--protos", str(rundir / "protos.pst"),
+            "--out", str(tmp_path / "o.txt"), "--ids", "pair0001,pair0000,pair0001", "--config", cfg,
+        )
+        assert code == 2 and "['pair0001']" in err
+        assert not (tmp_path / "o.txt").exists()
+
     def infer(self, capsys, tmp_path, data, rundir, params):
         return run(
             capsys, "infer", "--data", str(data / "index.txt"),
@@ -688,18 +698,16 @@ class TestGradcheck:
             assert f"PASS {name}" in out
         assert list(tmp_path.iterdir()) == []  # the training case's dataset is removed
 
-    def test_training_case_seed_is_verified_for_every_seed(self, tmp_path, monkeypatch):
-        # training-loss seeds whose end-to-end audit passes 1e-6 (worst
-        # relative error 9.3e-7, 4.3e-7, 4.9e-7, 4.6e-7, 2.3e-7, 7.2e-7);
-        # 339 clears the min_abs_grad screen but fails at 2.2e-6
-        verified = {45, 174, 300, 305, 319, 338}
-        picked = set()
-        monkeypatch.setattr(audit, "train_grad_case", lambda root, seed: (picked.add(seed), None))
-        monkeypatch.setattr(audit, "fusion_grad_case", lambda seed: (None, None))
-        monkeypatch.setattr(audit, "min_abs_grad", lambda build, store: 1.0)
-        for seed in range(600):
-            assert [name for name, _, _ in audit.gradcheck_cases(seed, tmp_path)][-1] == "training-loss"
-        assert picked and picked <= verified
+    def test_every_audited_case_is_a_verified_row(self, tmp_path, monkeypatch):
+        # each stub builder returns its (family, seed) as the store, so an
+        # inline case or an unlisted seed shows among what gradcheck builds
+        stubbed = tuple((n, lambda s, root, n=n: ((n, s), None), seeds) for n, _, seeds in audit.AUDIT_CASES)
+        monkeypatch.setattr(audit, "AUDIT_CASES", stubbed)
+        rows = {(name, s) for name, _, seeds in stubbed for s in seeds}
+        built = [(name, store) for seed in range(600) for name, store, _ in audit.gradcheck_cases(seed, tmp_path)]
+        assert len(built) == 600 * len(stubbed)
+        assert all(store in rows and store[0] == name for name, store in built)
+        assert {store for _, store in built} == rows
 
 
 class TestExitCodes:
@@ -724,6 +732,19 @@ class TestExitCodes:
         }[which]
         code, _, err = run(capsys, *argv)
         assert code == 2 and str(bad) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["gen --out o --seed -1", "train --data x --out o --seed -1", "fuse --rgb a --ir b --out o --seed -1",
+         "gradcheck --seed -1", "gen --out o --config neg.cfg"],
+        ids=["gen", "train", "fuse", "gradcheck", "config"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "neg.cfg").write_text("train.seed = -1\n")
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2 and "seed -1" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["neg.cfg"]
 
     def test_missing_index_exits_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "infer", "--data", str(tmp_path / "none.txt"),

@@ -11,7 +11,6 @@ from fusedet.evaluation import (
     GroundTruth,
     average_precision,
     box_array,
-    iou,
     iou_row,
     match,
     nap50,
@@ -20,6 +19,8 @@ from fusedet.evaluation import (
     write_detections,
     write_ground_truths,
 )
+
+from conftest import iou
 
 
 def det(score, box, image_id="img0", class_id=0):
@@ -149,19 +150,22 @@ class TestBox:
         assert Box(1.0, 1.0, 3.0, 4.0).area == 6.0
 
 
+def iou_of(box, *others):
+    return iou_row(np.array(box, float), np.array(others, float).reshape(-1, 4)).tolist()
+
+
 class TestIou:
     def test_identical(self):
-        b = Box(0.0, 0.0, 2.0, 2.0)
-        assert iou(b, b) == 1.0
+        assert iou_of((0, 0, 2, 2), (0, 0, 2, 2)) == [1.0]
 
     def test_disjoint(self):
-        assert iou(Box(0.0, 0.0, 1.0, 1.0), Box(2.0, 2.0, 3.0, 3.0)) == 0.0
+        assert iou_of((0, 0, 1, 1), (2, 2, 3, 3)) == [0.0]
 
     def test_touching_edges_do_not_overlap(self):
-        assert iou(Box(0.0, 0.0, 1.0, 1.0), Box(1.0, 0.0, 2.0, 1.0)) == 0.0
+        assert iou_of((0, 0, 1, 1), (1, 0, 2, 1)) == [0.0]
 
     def test_one_seventh(self):
-        assert abs(iou(Box(0.0, 0.0, 2.0, 2.0), Box(1.0, 1.0, 3.0, 3.0)) - 1.0 / 7.0) <= 1e-15
+        assert abs(iou_of((0, 0, 2, 2), (1, 1, 3, 3))[0] - 1.0 / 7.0) <= 1e-15
 
     def test_row_equals_scalar_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -173,8 +177,8 @@ class TestIou:
                 assert [v.hex() for v in row.tolist()] == [iou(Box(*a), Box(*b)).hex() for b in others]
 
     def test_symmetry(self):
-        a, b = Box(0.0, 0.0, 4.0, 3.0), Box(2.0, 1.0, 5.0, 6.0)
-        assert iou(a, b) == iou(b, a)
+        a, b = (0, 0, 4, 3), (2, 1, 5, 6)
+        assert iou_of(a, b) == iou_of(b, a)
 
 
 class TestMatch:

@@ -7,7 +7,7 @@ from fusedet import fmp, ops, training
 from fusedet.autodiff import as_node, backward
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
-from fusedet.evaluation import Box, Detection, iou
+from fusedet.evaluation import Box, Detection
 from fusedet.model import ModelConfig, init_params, query_features
 from fusedet.prototypes import PrototypeSet, extract_prototypes, task_encodings
 from fusedet.synth import SynthConfig, generate_synthetic
@@ -25,6 +25,8 @@ from fusedet.training import (
     support_prototypes,
     train_loss,
 )
+
+from conftest import iou
 
 TINY_MODEL = dict(
     channels=4, classes_total=2, t_max=2, na_k=3,
