@@ -24,13 +24,7 @@ from .autodiff import ParamStore, grad_check
 from .config import build_section, build_split, load_config_file, parse_class_ids, resolved_lines
 from .data import SplitSpec, build_supports, load_index
 from .deformable import FUSE_MODES, fuse, init_fusion_params
-from .errors import (
-    DivergenceError,
-    NumericGuardError,
-    ParseError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import NumericGuardError, ParseError, PreconditionError, ShapeError
 from .evaluation import average_precision, nap50, read_detections, read_ground_truths, write_detections
 from .model import ModelConfig, init_params
 from .prototypes import load_prototypes, save_prototypes
@@ -39,13 +33,9 @@ from .synth import SynthConfig, generate_synthetic
 from .training import TrainConfig, detect_over, precompute_prototypes, run_training
 
 
-def _load_kv(args) -> dict[str, str]:
-    return load_config_file(args.config) if getattr(args, "config", None) else {}
-
-
 def _resolve(args):
     """(model, train, synth, split) from config file plus seed flag."""
-    kv = _load_kv(args)
+    kv = load_config_file(args.config) if getattr(args, "config", None) else {}
     model = build_section(ModelConfig, "model", kv)
     train = build_section(TrainConfig, "train", kv)
     synth = build_section(SynthConfig, "synth", kv)
@@ -69,8 +59,7 @@ def _checksum(path) -> str:
 def cmd_gen(args) -> int:
     model, train, synth, split = _resolve(args)
     _echo(model, train, synth, split)
-    seed = args.seed if args.seed is not None else 0
-    index = generate_synthetic(args.out, synth, seed=seed)
+    index = generate_synthetic(args.out, synth, seed=train.seed)
     n_boxes = sum(len(e.boxes) for e in index.entries.values())
     print(f"generated {len(index.entries)} image pairs, {n_boxes} boxes in {args.out}")
     return 0
@@ -97,7 +86,7 @@ def cmd_fuse(args) -> int:
     rgb = fmp.read_map(args.rgb)
     ir = fmp.read_map(args.ir)
     fusion = model.fusion_config(rgb.shape[0])
-    store = ParamStore(seed=args.seed if args.seed is not None else 0)
+    store = ParamStore(seed=train.seed)
     init_fusion_params(store, fusion)
     if args.params:
         want = ParamStore()
@@ -257,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DivergenceError, NumericGuardError, FloatingPointError) as exc:
+    except NumericGuardError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ShapeError, PreconditionError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 from .data import SplitSpec
-from .errors import ParseError, PreconditionError, read_text
+from .errors import ParseError, PreconditionError, finite_float, read_records, read_text
 from .model import ModelConfig
 from .synth import SynthConfig
 from .training import TrainConfig
@@ -30,19 +30,19 @@ def known_keys() -> set[str]:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     allowed = known_keys()
     out: dict[str, str] = {}
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{source}: expected 'key = value', got {line!r}", line=n)
-        key, _, value = line.partition("=")
+
+    def record(line: str) -> None:
+        key, eq, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if not eq:
+            raise ParseError(f"expected 'key = value', got {line.strip()!r}")
         if key not in allowed:
-            raise ParseError(f"{source}: unknown key {key!r}", line=n)
+            raise ParseError(f"unknown key {key!r}")
         if key in out:
-            raise ParseError(f"{source}: duplicate key {key!r}", line=n)
+            raise ParseError(f"duplicate key {key!r}")
         out[key] = value
+
+    read_records(source, record, text)
     return out
 
 
@@ -55,10 +55,11 @@ def _coerce(value: str, target_type: type, key: str):
         if target_type is int:
             return int(value)
         if target_type is float:
-            return float(value)
+            return finite_float(value)
         return value
     except ValueError as exc:
-        raise PreconditionError(f"{key}: cannot read {value!r} as {target_type.__name__}") from exc
+        kind = "a finite float" if target_type is float else target_type.__name__
+        raise PreconditionError(f"{key}: cannot read {value!r} as {kind}") from exc
 
 
 def build_section(cls, prefix: str, kv: dict[str, str]):

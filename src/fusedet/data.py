@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fmp
-from .errors import ParseError, PreconditionError, read_text
-from .evaluation import Box, GroundTruth
+from .errors import ParseError, PreconditionError, read_records
+from .evaluation import Box, GroundTruth, box_fields
 
 
 @dataclass
@@ -54,10 +54,6 @@ class DatasetIndex:
         """Every annotated box of one class, in index order."""
         return [g for entry in self.entries.values() for g in entry.boxes if g.class_id == class_id]
 
-    def class_ids(self) -> list[int]:
-        seen = sorted({b.class_id for e in self.entries.values() for b in e.boxes})
-        return seen
-
 
 def save_index(path, index: DatasetIndex) -> None:
     root = Path(path).resolve().parent
@@ -69,7 +65,7 @@ def save_index(path, index: DatasetIndex) -> None:
             tail = f" {entry.condition}" if entry.condition else ""
             fh.write(f"{entry.image_id} {rgb} {ir}{tail}\n")
             for g in entry.boxes:
-                fh.write(f"    box {g.class_id} {g.box.x1!r} {g.box.y1!r} {g.box.x2!r} {g.box.y2!r}\n")
+                fh.write(f"    box {g.class_id} {box_fields(g.box)}\n")
 
 
 def _relative(p: Path, root: Path) -> str:
@@ -83,38 +79,26 @@ def load_index(path) -> DatasetIndex:
     root = Path(path).resolve().parent
     index = DatasetIndex()
     current: IndexEntry | None = None
-    for n, raw in enumerate(read_text(path).splitlines(), start=1):
-        text = raw.split("#", 1)[0].rstrip()
-        if not text.strip():
-            continue
-        indented = text[0].isspace()
-        tok = text.split()
-        if indented:
+
+    def record(line: str) -> None:
+        nonlocal current
+        tok = line.split()
+        if line[0].isspace():
             if current is None:
-                raise ParseError("box record before any image header", line=n)
+                raise ParseError("box record before any image header")
             if tok[0] != "box" or len(tok) != 6:
-                raise ParseError(f"expected 'box class_id x1 y1 x2 y2', got {text.strip()!r}", line=n)
-            try:
-                current.boxes.append(GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), current.image_id))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=n) from exc
-        else:
-            if len(tok) not in (3, 4):
-                raise ParseError(f"expected 'image_id rgb_path ir_path [condition]', got {text!r}", line=n)
-            current = IndexEntry(
-                image_id=tok[0],
-                rgb_path=root / tok[1],
-                ir_path=root / tok[2],
-                boxes=[],
-                condition=tok[3] if len(tok) == 4 else "",
-            )
-            for p in (current.rgb_path, current.ir_path):
-                if not p.is_file():
-                    raise FileNotFoundError(f"{path} line {n}: missing modality file {p}")
-            try:
-                index.add(current)
-            except PreconditionError as exc:
-                raise ParseError(str(exc), line=n) from exc
+                raise ParseError(f"expected 'box class_id x1 y1 x2 y2', got {line.strip()!r}")
+            current.boxes.append(GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), current.image_id))
+            return
+        if len(tok) not in (3, 4):
+            raise ParseError(f"expected 'image_id rgb_path ir_path [condition]', got {line!r}")
+        current = IndexEntry(tok[0], root / tok[1], root / tok[2], [], tok[3] if len(tok) == 4 else "")
+        for p in (current.rgb_path, current.ir_path):
+            if not p.is_file():
+                raise FileNotFoundError(f"{path}: image {current.image_id!r} names a missing modality file {p}")
+        index.add(current)
+
+    read_records(path, record)
     return index
 
 
@@ -138,7 +122,6 @@ class SplitSpec:
 
 @dataclass
 class SupportSet:
-    seed_index: int
     k: int
     instances: dict[int, list[GroundTruth]]
 
@@ -172,7 +155,7 @@ def build_supports(
             pool = pools[c]
             picks = rng.choice(len(pool), size=k, replace=False)
             chosen[c] = [pool[int(j)] for j in picks]
-        sets.append(SupportSet(seed_index=i, k=k, instances=chosen))
+        sets.append(SupportSet(k=k, instances=chosen))
     return sets
 
 

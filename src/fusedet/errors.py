@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the text-file reader
-that reports an undecodable file as a parse error."""
+"""Exception types shared across the package, and the one reader of
+line-based text files (config, index, detections, ground truths)."""
+import math
 from pathlib import Path
 
 
@@ -17,11 +18,11 @@ class PreconditionError(FusedetError, ValueError):
 
 class ParseError(FusedetError, ValueError):
     """A text or binary file could not be parsed; a text file's error
-    carries the 1-based line number."""
+    names the file and carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
-            message = f"line {line}: {message}"
+            message = f"{path} line {line}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -45,3 +46,28 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def finite_float(text: str) -> float:
+    """`float(text)`; nan, an infinity or an overflow (1e400) is a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def read_records(path, build, text: str | None = None) -> list:
+    """`build(line)` for each record line of a UTF-8 text file (or of
+    `text`, standing for its contents), in order.  `#` starts a comment
+    anywhere; trailing blanks drop, blank lines skip, leading blanks stay
+    (index box records are indented).  A ValueError or package error from
+    `build` is a ParseError naming the file and the 1-based line."""
+    out = []
+    for n, raw in enumerate((read_text(path) if text is None else text).splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            try:
+                out.append(build(line))
+            except (ValueError, FusedetError) as exc:
+                raise ParseError(str(exc), line=n, path=path) from exc
+    return out

@@ -10,7 +10,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import FusedetError, ParseError, PreconditionError, read_text
+from .errors import ParseError, PreconditionError, read_records
 
 
 # Slots: dense inference keeps about 480 detections per 32x32 image, and
@@ -147,51 +147,46 @@ def nap50(dets: list[Detection], gts: list[GroundTruth], novel_class_ids) -> flo
     return float(np.mean([average_precision(dets, gts, c, 0.5) for c in ids]))
 
 
+def box_fields(box: Box) -> str:
+    """A box's four coordinates as a record writes them, each its shortest
+    round-tripping repr."""
+    return f"{box.x1!r} {box.y1!r} {box.x2!r} {box.y2!r}"
+
+
 def write_detections(path, dets: list[Detection]) -> None:
     with open(path, "w") as fh:
         fh.write("# image_id class_id score x1 y1 x2 y2\n")
         for d in dets:
-            fh.write(
-                f"{d.image_id} {d.class_id} {d.score!r} "
-                f"{d.box.x1!r} {d.box.y1!r} {d.box.x2!r} {d.box.y2!r}\n"
-            )
+            fh.write(f"{d.image_id} {d.class_id} {d.score!r} {box_fields(d.box)}\n")
 
 
 def write_ground_truths(path, gts: list[GroundTruth]) -> None:
     with open(path, "w") as fh:
         fh.write("# image_id class_id x1 y1 x2 y2\n")
         for g in gts:
-            fh.write(f"{g.image_id} {g.class_id} {g.box.x1!r} {g.box.y1!r} {g.box.x2!r} {g.box.y2!r}\n")
+            fh.write(f"{g.image_id} {g.class_id} {box_fields(g.box)}\n")
 
 
-def _record_lines(path) -> list[tuple[int, list[str]]]:
-    out = []
-    for n, raw in enumerate(read_text(path).splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            out.append((n, text.split()))
-    return out
+def _fields(line: str, n: int) -> list[str]:
+    tok = line.split()
+    if len(tok) != n:
+        raise ParseError(f"expected {n} fields, got {len(tok)}")
+    return tok
 
 
-def _read_records(path, n_fields: int, build) -> list:
-    """`build(tokens)` for each record line; a wrong field count or a
-    rejected value is a ParseError with the line number."""
-    out = []
-    for n, tok in _record_lines(path):
-        if len(tok) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(tok)}", line=n)
-        try:
-            out.append(build(tok))
-        except (ValueError, FusedetError) as exc:
-            raise ParseError(str(exc), line=n) from exc
-    return out
+def _detection(line: str) -> Detection:
+    tok = _fields(line, 7)
+    return Detection(Box(*map(float, tok[3:])), float(tok[2]), int(tok[1]), tok[0])
+
+
+def _ground_truth(line: str) -> GroundTruth:
+    tok = _fields(line, 6)
+    return GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), tok[0])
 
 
 def read_detections(path) -> list[Detection]:
-    return _read_records(
-        path, 7, lambda tok: Detection(Box(*map(float, tok[3:])), float(tok[2]), int(tok[1]), tok[0])
-    )
+    return read_records(path, _detection)
 
 
 def read_ground_truths(path) -> list[GroundTruth]:
-    return _read_records(path, 6, lambda tok: GroundTruth(Box(*map(float, tok[2:])), int(tok[1]), tok[0]))
+    return read_records(path, _ground_truth)

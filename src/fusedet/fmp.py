@@ -7,7 +7,9 @@ map is one (D, H, W) array under `map`.
 `read_arrays` is the one place that checks bytes: a bad magic, a
 truncation, trailing bytes, a non-UTF-8 or repeated key, a negative seed
 or a shape numpy cannot build is a ParseError (exit 2); a non-finite value
-is a NumericGuardError (exit 3).
+is a NumericGuardError (exit 3).  `write_arrays` refuses a non-finite value
+with the same error before it opens the file, so no command writes a file
+its reader rejects.
 """
 from __future__ import annotations
 
@@ -23,10 +25,17 @@ MAGIC = b"PST1"
 _HEADER = struct.Struct("<4sqI")
 
 
+def _require_finite(path, arrays: Mapping[str, np.ndarray]) -> None:
+    bad = {k: n for k, a in arrays.items() if (n := a.size - np.count_nonzero(np.isfinite(a)))}
+    if bad:
+        raise NumericGuardError(f"{path} holds {sum(bad.values())} non-finite values in {', '.join(bad)}")
+
+
 def write_arrays(path, arrays: Mapping[str, np.ndarray], seed: int = 0) -> None:
+    arrays = {key: np.asarray(arrays[key], dtype="<f8") for key in sorted(arrays)}
+    _require_finite(path, arrays)
     parts = [_HEADER.pack(MAGIC, seed, len(arrays))]
-    for key in sorted(arrays):
-        arr = np.asarray(arrays[key], dtype="<f8")
+    for key, arr in arrays.items():
         raw = key.encode("utf-8")
         parts.append(struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape))
         parts.append(arr.tobytes())
@@ -72,9 +81,7 @@ def read_arrays(path) -> tuple[int, dict[str, np.ndarray]]:
             raise ParseError(f"{path}: {key} cannot have shape {shape} ({exc})") from exc
     if off != len(blob):
         raise ParseError(f"{path}: {len(blob) - off} trailing bytes")
-    bad = {k: a.size - np.count_nonzero(np.isfinite(a)) for k, a in arrays.items() if not np.isfinite(a).all()}
-    if bad:
-        raise NumericGuardError(f"{path} holds {sum(bad.values())} non-finite values in {', '.join(bad)}")
+    _require_finite(path, arrays)
     return seed, arrays
 
 

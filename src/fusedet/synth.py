@@ -61,10 +61,6 @@ def ir_channel(class_id: int, channels: int) -> int:
     return channels // 2 + class_id
 
 
-def informative_channels(class_id: int, channels: int) -> tuple[int, int]:
-    return rgb_channel(class_id), ir_channel(class_id, channels)
-
-
 def _blob(h: int, w: int, box: Box, amplitude: float) -> np.ndarray:
     """Gaussian bump centered in the box, sigma a quarter of each side."""
     cy = (box.y1 + box.y2) / 2.0 - 0.5

@@ -1,8 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fusedet import fmp
 from fusedet.autodiff import Node, backward
 from fusedet.evaluation import Box
+
+
+def write_non_finite(path, arrays, seed=0) -> None:
+    """A container holding NaN or infinity, which `fmp.write_arrays`
+    refuses to write: the arrays go in with those entries zeroed, then
+    every value is patched in at the offset the PST1 layout gives, so a
+    test can hand the file to a reader."""
+    arrays = {k: np.asarray(arrays[k], dtype="<f8") for k in sorted(arrays)}
+    fmp.write_arrays(path, {k: np.where(np.isfinite(a), a, 0.0) for k, a in arrays.items()}, seed)
+    blob = bytearray(Path(path).read_bytes())
+    off = 16  # magic, seed, count
+    for key, a in arrays.items():
+        off += 2 + len(key.encode("utf-8")) + 1 + 4 * a.ndim
+        blob[off : off + a.nbytes] = a.tobytes()
+        off += a.nbytes
+    Path(path).write_bytes(bytes(blob))
 
 
 def iou(a: Box, b: Box) -> float:

@@ -1,8 +1,10 @@
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from conftest import write_non_finite
 from fusedet import audit, fmp
 from fusedet.autodiff import ParamStore
 from fusedet.cli import main
@@ -24,6 +26,7 @@ from fusedet.prototypes import load_prototypes
 from fusedet.neighborhood import NAConfig
 from fusedet.selftest import CHECKS
 from fusedet.synth import SynthConfig, generate_synthetic
+from fusedet.training import TrainConfig
 
 TINY_CFG = """
 model.channels = 4
@@ -223,7 +226,7 @@ class TestFuse:
         store = ParamStore(seed=0)
         init_fusion_params(store, fusion)
         store.array("cda_rgb.wq")[0, 1] = bad
-        store.save(tmp_path / "bad.pst")
+        write_non_finite(tmp_path / "bad.pst", {k: store.array(k) for k in store.keys()}, store.seed)
         code, _, err = run(
             capsys, "fuse", "--rgb", pa, "--ir", pb, "--params", str(tmp_path / "bad.pst"),
             "--out", str(tmp_path / "o.fmp"),
@@ -349,7 +352,7 @@ class TestPipeline:
         data, rundir, _ = trained
         store = ParamStore.load(rundir / "params.pst")
         store.array("head.obj_w")[...] = bad
-        store.save(tmp_path / "bad.pst")
+        write_non_finite(tmp_path / "bad.pst", {k: store.array(k) for k in store.keys()}, store.seed)
         code, _, err = self.infer(capsys, tmp_path, data, rundir, tmp_path / "bad.pst")
         assert code == 3 and "non-finite" in err and "head.obj_w" in err
         assert not (tmp_path / "o.txt").exists()
@@ -359,7 +362,7 @@ class TestPipeline:
         target = sorted(data.glob("*.fmp"))[0]
         x = fmp.read_map(target)
         x[0, 1, 1] = np.nan
-        fmp.write_map(target, x)
+        write_non_finite(target, {"map": x})
         code, _, err = self.infer(capsys, tmp_path, data, rundir, rundir / "params.pst")
         assert code == 3 and "non-finite" in err
 
@@ -417,10 +420,7 @@ class TestCorruptPrototypes:
         bad_nan, bad_inf = protos.copy(), protos.copy()
         bad_nan[1, 2], bad_inf[0, 0] = np.nan, -np.inf
         named = {"P": protos, "P3": protos[None], "P_nan": bad_nan, "P_inf": bad_inf}
-        store = ParamStore(seed=0)
-        for key, value in arrays.items():
-            store.add(key, named[value] if isinstance(value, str) else value)
-        store.save(tmp_path / "bad.pst")
+        write_non_finite(tmp_path / "bad.pst", {k: named[v] if isinstance(v, str) else v for k, v in arrays.items()})
         got, _, err = self.infer(capsys, trained, tmp_path / "bad.pst")
         assert got == code and message in err
 
@@ -710,6 +710,21 @@ class TestGradcheck:
         assert {store for _, store in built} == rows
 
 
+def reading(tmp_path, which, bad):
+    """The argv of a command that reads `bad` as its config, index,
+    detections or ground truths, with a valid file for the other input of
+    `eval`."""
+    dets, gts = tmp_path / "dets.txt", tmp_path / "gts.txt"
+    dets.write_text("")
+    gts.write_text("img000 0 0.5 0.5 2.5 3.0\n")
+    return {
+        "config": ["gen", "--out", str(tmp_path / "d"), "--config", str(bad)],
+        "index": ["infer", "--data", str(bad), "--params", "p", "--protos", "q", "--out", "o"],
+        "detections": ["eval", "--dets", str(bad), "--gts", str(gts), "--novel", "0"],
+        "ground truths": ["eval", "--dets", str(dets), "--gts", str(bad), "--novel", "0"],
+    }[which]
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -721,16 +736,7 @@ class TestExitCodes:
     def test_non_utf8_text_file_exits_2(self, tmp_path, capsys, which):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"a 0 0.9 0 0 2 2 \xff\xfe\n")
-        dets, gts = tmp_path / "dets.txt", tmp_path / "gts.txt"
-        dets.write_text("")
-        gts.write_text("a 0 0 0 2 2\n")
-        argv = {
-            "config": ["gen", "--out", str(tmp_path / "d"), "--config", str(bad)],
-            "index": ["infer", "--data", str(bad), "--params", "p", "--protos", "q", "--out", "o"],
-            "detections": ["eval", "--dets", str(bad), "--gts", str(gts), "--novel", "0"],
-            "ground truths": ["eval", "--dets", str(dets), "--gts", str(bad), "--novel", "0"],
-        }[which]
-        code, _, err = run(capsys, *argv)
+        code, _, err = run(capsys, *reading(tmp_path, which, bad))
         assert code == 2 and str(bad) in err and "UTF-8" in err
 
     @pytest.mark.parametrize(
@@ -746,6 +752,51 @@ class TestExitCodes:
         assert code == 2 and "seed -1" in err
         assert [p.name for p in tmp_path.iterdir()] == ["neg.cfg"]
 
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("config", "model.channels = 4\njust words\n"),
+            ("index", "img000 img000_rgb.fmp img000_ir.fmp\n    box 0 0.5 0.5 2.5\n"),
+            ("detections", "img000 0 0.9 0.5 0.5 2.5 3.0\nimg000 0 0.9 0.5 0.5 0.5 3.0\n"),
+            ("ground truths", "img000 0 0.5 0.5 2.5 3.0\nimg000 0 0.5 0.5 2.5 0.5\n"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, capsys, which, text):
+        for name in ("img000_rgb.fmp", "img000_ir.fmp"):
+            fmp.write_map(tmp_path / name, np.zeros((2, 4, 4)))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# a comment line\n\n" + text)
+        code, _, err = run(capsys, *reading(tmp_path, which, bad))
+        assert code == 2 and f"{bad} line 4: " in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            f"{prefix}.{f.name}"
+            for prefix, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SynthConfig))
+            for f in fields(cls)
+            if type(getattr(cls(), f.name)) is float
+        ],
+    )
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        code, _, err = run(capsys, "gen", "--out", "d", "--config", "run.cfg")
+        assert code == 2 and f"{key}: cannot read {value!r} as a finite float" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    # the blobs of one class overlap, and their sum overflows to inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_gen_with_overflowing_maps_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "synth.amplitude = 1.7e308\nsynth.max_objects = 6\nsynth.classes = 1\nsynth.images = 20\n")
+        code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--seed", "0", "--config", cfg)
+        assert code == 3 and "non-finite values in map" in err
+        written = sorted((tmp_path / "d").glob("*.fmp"))
+        assert written  # the maps before the first overflow are kept, and read back
+        for path in written:
+            fmp.read_map(path)
+
     def test_missing_index_exits_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "infer", "--data", str(tmp_path / "none.txt"),
                          "--params", "p", "--protos", "q", "--out", "o")
@@ -759,3 +810,27 @@ class TestExitCodes:
     def test_argparse_rejects_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
+
+
+class TestConfigSeed:
+    """`gen` and `fuse` seed from the resolved `train.seed`, as `train`
+    does: a config's `train.seed` acts as the same `--seed`."""
+
+    def test_gen(self, tmp_path, capsys):
+        seeded, plain = tmp_path / "seeded.cfg", tmp_path / "plain.cfg"
+        seeded.write_text("train.seed = 5\nsynth.images = 4\n")
+        plain.write_text("synth.images = 4\n")
+        for out, argv in (("a", ["--config", seeded]), ("b", ["--seed", "5", "--config", plain]),
+                          ("c", ["--seed", "0", "--config", plain])):
+            assert run(capsys, "gen", "--out", str(tmp_path / out), *map(str, argv))[0] == 0
+        a, b, c = ({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()} for out in "abc")
+        assert a == b != c
+
+    def test_fuse(self, tmp_path, capsys):
+        _, _, pa, pb = small_maps(tmp_path)
+        cfg = write_cfg(tmp_path, "train.seed = 5\n")
+        for out, argv in (("a", ["--config", cfg]), ("b", ["--seed", "5"]), ("c", ["--seed", "0"])):
+            out_path = str(tmp_path / f"fused_{out}.fmp")
+            assert run(capsys, "fuse", "--rgb", pa, "--ir", pb, "--out", out_path, *argv)[0] == 0
+        a, b, c = ((tmp_path / f"fused_{out}.fmp").read_bytes() for out in "abc")
+        assert a == b != c

@@ -55,10 +55,6 @@ class TestDatasetIndex:
         assert ids == ["img000", "img002"]
         assert len(index.instances(1)) == 2
 
-    def test_class_ids_sorted(self):
-        index = toy_index([[2], [0], [1, 2]])
-        assert index.class_ids() == [0, 1, 2]
-
 
 class TestIndexFiles:
     def test_round_trip(self, tmp_path):
@@ -190,7 +186,7 @@ class TestBuildSupports:
 
     def test_support_set_validates_count(self):
         with pytest.raises(PreconditionError):
-            SupportSet(seed_index=0, k=2, instances={0: [GroundTruth(Box(0, 0, 1, 1), 0, "a")]})
+            SupportSet(k=2, instances={0: [GroundTruth(Box(0, 0, 1, 1), 0, "a")]})
 
 
 class TestSampleEpisode:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import write_non_finite
 from fusedet import fmp
 from fusedet.errors import NumericGuardError, ParseError, ShapeError
 
@@ -122,12 +123,21 @@ class TestRejections:
         path = tmp_path / "m.fmp"
         x = np.zeros((2, 3, 3))
         x[1, 2, 0] = bad
-        fmp.write_map(path, x)
+        write_non_finite(path, {"map": x})
         with pytest.raises(NumericGuardError, match="1 non-finite"):
             fmp.read_map(path)
 
     def test_non_finite_names_every_key(self, tmp_path):
         path = tmp_path / "c.pst"
-        fmp.write_arrays(path, {"a": [np.nan, 1.0], "b": [0.0], "c": [np.inf, -np.inf]})
+        write_non_finite(path, {"a": [np.nan, 1.0], "b": [0.0], "c": [np.inf, -np.inf]})
         with pytest.raises(NumericGuardError, match=re.escape(f"{path} holds 3 non-finite values in a, c")):
             fmp.read_arrays(path)
+
+    @pytest.mark.parametrize("write", [fmp.write_map, lambda path, x: fmp.write_arrays(path, {"b": [0.0], "a": x})])
+    def test_writer_refuses_non_finite_with_the_reader_message(self, tmp_path, write):
+        path = tmp_path / "m.fmp"
+        x = np.zeros((2, 3, 3))
+        x[0, 0, 0], x[1, 2, 2] = np.nan, -np.inf
+        with pytest.raises(NumericGuardError, match=re.escape(f"{path} holds 2 non-finite values in ")):
+            write(path, x)
+        assert not path.exists()

@@ -8,7 +8,6 @@ from fusedet.synth import (
     SynthConfig,
     _random_box,
     generate_synthetic,
-    informative_channels,
     ir_channel,
     render_pair,
     rgb_channel,
@@ -34,8 +33,7 @@ class TestSynthConfig:
         assert rgb_channel(2) == 1 and rgb_channel(3) == 1
         assert ir_channel(0, d) == 4 and ir_channel(3, d) == 7
         for c in range(4):
-            rgb_ch, ir_ch = informative_channels(c, d)
-            assert rgb_ch < d // 2 <= ir_ch
+            assert rgb_channel(c) < d // 2 <= ir_channel(c, d)
 
 
 class TestRenderPair:
@@ -62,7 +60,7 @@ class TestRenderPair:
             rng = np.random.default_rng(seed)
             record = GroundTruth(_random_box(cfg, rng), seed % cfg.classes, "a")
             rgb, ir = render_pair(cfg, [record], rng)
-            rgb_ch, ir_ch = informative_channels(record.class_id, cfg.channels)
+            rgb_ch, ir_ch = rgb_channel(record.class_id), ir_channel(record.class_id, cfg.channels)
             box = record.box
             for m, ch in ((rgb, rgb_ch), (ir, ir_ch)):
                 i, j = np.unravel_index(np.argmax(np.abs(m[ch])), m[ch].shape)
@@ -108,7 +106,7 @@ class TestGenerateSynthetic:
     def test_every_class_appears(self, tmp_path):
         cfg = SynthConfig(classes=3, images=30, channels=8, height=12, width=12)
         index = generate_synthetic(tmp_path, cfg, seed=4)
-        assert index.class_ids() == [0, 1, 2]
+        assert sorted({g.class_id for e in index.entries.values() for g in e.boxes}) == [0, 1, 2]
 
     def test_nearest_centroid_separates_classes(self, tmp_path):
         """Class signatures must be distinguishable from clean crops."""
