@@ -3,7 +3,7 @@ color/thermal feature maps, prototype-based class aggregation, an episodic
 K-shot harness with a toy detection head, and nAP50 evaluation.
 """
 
-from .autodiff import Node, ParamStore, as_node, backward, grad_check
+from .autodiff import Node, ParamStore, as_node, backward, grad_check, no_grad
 from .data import DatasetIndex, Episode, SplitSpec, SupportSet, build_supports, load_index, sample_episode, save_index
 from .deformable import CDAConfig, FusionConfig, cda_forward, fuse, fusion_forward, offset_net, reference_grid
 from .errors import (
@@ -73,6 +73,7 @@ __all__ = [
     "match",
     "na_forward",
     "nap50",
+    "no_grad",
     "offset_net",
     "precompute_prototypes",
     "query_features",

@@ -10,10 +10,16 @@ ParamStore owns the named leaf arrays plus the RNG used to initialize them,
 so a training step can rebuild a fresh graph over the same storage and a
 store recreated from the same seed (with the same init calls, in the same
 order) is bit-identical.
+
+Inside `with no_grad():` the same ops run value-only: each Node keeps its
+value but drops its parents and VJPs, so no graph outlives the op that
+built it.  Inference, prototype precompute and the finite-difference
+forwards of grad_check run this way; `backward` refuses to run there.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -44,6 +50,23 @@ def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
+# False inside `no_grad`: ops then build value-only Nodes.
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Value-only mode for the body of a with statement: Nodes made inside
+    keep no parents or VJPs.  The previous mode comes back on exit, also on
+    an exception, so nested uses restore their outer mode."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 class Node:
     """One value in the computation graph, with its gradient accumulator."""
 
@@ -52,8 +75,10 @@ class Node:
     def __init__(self, value, parents: tuple["Node", ...] = (), vjps: tuple[VJP, ...] = ()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
-        self._parents = parents
-        self._vjps = vjps
+        if _recording:
+            self._parents, self._vjps = parents, vjps
+        else:
+            self._parents = self._vjps = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -165,7 +190,10 @@ def backward(loss: Node) -> None:
     Traversal is iterative postorder, so each node is visited exactly once
     and a node's accumulated gradient is complete before it is pushed to
     its parents.  Nodes not on any path to the loss keep grad None.
+    Inside `no_grad` there is no graph to walk, so it raises.
     """
+    if not _recording:
+        raise PreconditionError("backward called inside no_grad, where no graph is built")
     if loss.value.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.value.shape}")
 
@@ -302,12 +330,14 @@ def grad_check(
     `build` must be a deterministic function from leaf nodes to a scalar
     Node.  Every entry of every parameter (or of `keys`, if given) is
     perturbed by +/- eps; relative error is |a - n| / max(|a|, |n|, 1e-8).
+    The perturbed forwards run value-only.
     """
     nodes = store.nodes()
     backward(build(nodes))
 
     def value_at() -> float:
-        return float(build(store.nodes()).value)
+        with no_grad():
+            return float(build(store.nodes()).value)
 
     worst = 0.0
     for key in keys if keys is not None else store.keys():

@@ -9,6 +9,7 @@ unit square centered at (j + 0.5, i + 0.5).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,16 +75,14 @@ def roi_align(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
 
     bw = (box.x2 - box.x1) / out
     bh = (box.y2 - box.y1) / out
-    sub = (np.arange(sampling) + 0.5) / sampling
-    xs, ys = [], []
-    for pi in range(out):
-        for pj in range(out):
-            for t in sub:
-                for u in sub:
-                    ys.append(box.y1 + (pi + t) * bh)
-                    xs.append(box.x1 + (pj + u) * bw)
-    px = np.clip(np.asarray(xs) - 0.5, 0.0, w - 1.0)
-    py = np.clip(np.asarray(ys) - 0.5, 0.0, h - 1.0)
+    # steps[i, t]: bin i plus sub-bin center t, in bin widths; the samples
+    # run in (bin row, bin col, sub row, sub col) order
+    steps = np.arange(out)[:, None] + (np.arange(sampling) + 0.5) / sampling
+    py = np.clip(box.y1 + steps * bh - 0.5, 0.0, h - 1.0)
+    px = np.clip(box.x1 + steps * bw - 0.5, 0.0, w - 1.0)
+    grid = (out, out, sampling, sampling)
+    py = np.broadcast_to(py[:, None, :, None], grid).reshape(-1)
+    px = np.broadcast_to(px[None, :, None, :], grid).reshape(-1)
     sampled = ops.bilinear_sample(x, normalize_coords(px, py, h, w))
     return sampled.reshape((d, out, out, sampling * sampling)).mean(axis=3)
 
@@ -94,19 +93,22 @@ def roi_vector(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
 
 
 def extract_prototypes(
-    supports, classes, out: int = 7, sampling: int = 2
+    supports, classes, out: int = 7, sampling: int = 2, pooled: Mapping | None = None
 ) -> PrototypeSet:
     """Build one prototype per class from (feature_map, [GroundTruth]) pairs.
 
     Row order follows `classes`; every listed class needs at least one box.
+    `pooled` optionally maps records to their roi_vector on their map,
+    already computed; those records are not pooled again.
     """
     classes = tuple(int(c) for c in classes)
+    pooled = pooled or {}
     per_class: dict[int, list[Node]] = {c: [] for c in classes}
     for feat, records in supports:
-        feat = as_node(feat)
         for record in records:
             if record.class_id in per_class:
-                per_class[record.class_id].append(roi_vector(feat, record.box, out, sampling))
+                vec = pooled[record] if record in pooled else roi_vector(feat, record.box, out, sampling)
+                per_class[record.class_id].append(vec)
     rows = []
     for c in classes:
         vecs = per_class[c]

@@ -11,17 +11,18 @@ and hides behind this one module.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .autodiff import Node, ParamStore, as_node, backward
+from .autodiff import Node, ParamStore, as_node, backward, no_grad
 from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
 from .errors import DivergenceError, NumericGuardError, PreconditionError
 from .evaluation import Box, Detection, GroundTruth, iou_row
 from .model import ModelConfig, init_params, query_features
-from .prototypes import PrototypeSet, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes
+from .prototypes import PrototypeSet, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes, roi_vector
 
 
 @dataclass(frozen=True)
@@ -100,28 +101,29 @@ def fuse_images(index: DatasetIndex, image_ids, cfg: ModelConfig, params: dict[s
     """The query map of each image's pair, in order, from one batched
     fusion; images whose maps differ in shape are fused one by one."""
     pairs = [index.load_pair(image_id) for image_id in image_ids]
-    if len({(rgb.shape, ir.shape) for rgb, ir in pairs}) > 1:
+    if len({(rgb.shape, ir.shape) for rgb, ir in pairs}) != 1:
         return [query_features(rgb, ir, cfg, params) for rgb, ir in pairs]
     rgb, ir = (np.stack(maps) for maps in zip(*pairs))
     return ops.unstack(query_features(rgb, ir, cfg, params))
 
 
 def support_prototypes(
-    index: DatasetIndex,
+    maps: Mapping[str, Node],
     instances: dict[int, list[GroundTruth]],
     classes,
     cfg: ModelConfig,
-    params: dict[str, Node],
+    pooled: Mapping[GroundTruth, Node] | None = None,
 ) -> PrototypeSet:
     """One prototype per class, rows in `classes` order.
 
+    `maps` holds the fused map of each support image by image id, and
     `instances` maps each class to its support records, as
-    `Episode.support` and `SupportSet.instances` do.  Each support image
-    is fused once, all of them in one batch.
+    `Episode.support` and `SupportSet.instances` do.  Records in `pooled`
+    reuse the vector pooled there.  Each class mean adds its records'
+    vectors image by image, images in order of first use.
     """
-    grouped = group_by_image(instances, classes)
-    maps = fuse_images(index, grouped, cfg, params)
-    return extract_prototypes(zip(maps, grouped.values()), classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
+    supports = ((maps[image_id], records) for image_id, records in group_by_image(instances, classes).items())
+    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling, pooled=pooled)
 
 
 def train_loss(
@@ -138,11 +140,9 @@ def train_loss(
     query last, so every fusion parameter's gradient sums its per-image
     parts in the order separate per-image graphs would give.
     """
-    grouped = group_by_image(episode.support, episode.slots)
-    *support_maps, f_q = fuse_images(index, [*grouped, episode.query_id], cfg, params)
-    protos = extract_prototypes(
-        zip(support_maps, grouped.values()), episode.slots, out=cfg.roi_out, sampling=cfg.roi_sampling
-    )
+    support_ids = list(group_by_image(episode.support, episode.slots))
+    *support_maps, f_q = fuse_images(index, [*support_ids, episode.query_id], cfg, params)
+    protos = support_prototypes(dict(zip(support_ids, support_maps)), episode.support, episode.slots, cfg)
     meta = cosine_ce_loss(protos.s, params["meta.class_weights"], list(episode.slots), cfg.alpha)
 
     f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
@@ -270,10 +270,22 @@ def precompute_prototypes(
     params: dict[str, Node],
 ) -> PrototypeSet:
     """One PrototypeSet per support draw, averaged elementwise: the single
-    inference-time prototype table."""
-    per_seed = [
-        support_prototypes(index, sset.instances, sorted(sset.instances), cfg, params) for sset in support_sets
-    ]
+    inference-time prototype table.
+
+    Value-only.  The distinct support images of all draws are fused in one
+    batch, in image id order, and each distinct support record is pooled
+    once; every draw then takes its class means over those vectors.  A
+    batch element and a pooled vector equal their lone computation bit for
+    bit, so the table equals one built draw by draw.
+    """
+    records = dict.fromkeys(r for sset in support_sets for rs in sset.instances.values() for r in rs)
+    image_ids = sorted({r.image_id for r in records})
+    with no_grad():
+        maps = dict(zip(image_ids, fuse_images(index, image_ids, cfg, params)))
+        pooled = {r: roi_vector(maps[r.image_id], r.box, cfg.roi_out, cfg.roi_sampling) for r in records}
+        per_seed = [
+            support_prototypes(maps, sset.instances, sorted(sset.instances), cfg, pooled) for sset in support_sets
+        ]
     return average_prototypes(per_seed)
 
 
@@ -285,14 +297,16 @@ def infer(
     params: dict[str, Node],
     image_id: str = "query",
 ) -> list[Detection]:
-    """Detections for one query pair using precomputed prototypes only."""
+    """Detections for one query pair using precomputed prototypes only,
+    computed value-only."""
     if protos.values.shape[1] != cfg.channels:
         raise PreconditionError(
             f"prototype width {protos.values.shape[1]} does not match model channels {cfg.channels}"
         )
-    f_q = query_features(rgb, ir, cfg, params)
-    f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
-    return toy_head(f_cam, protos, params, cfg, image_id)
+    with no_grad():
+        f_q = query_features(rgb, ir, cfg, params)
+        f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
+        return toy_head(f_cam, protos, params, cfg, image_id)
 
 
 def run_training(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check
+from fusedet import autodiff
+from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check, no_grad
 from fusedet.errors import ParseError, PreconditionError, ShapeError
 
 
@@ -213,6 +214,54 @@ class TestParamStore:
             ParamStore.load(path)
 
 
+class TestNoGrad:
+    def test_node_built_inside_has_no_parents(self):
+        a = Node(np.array([1.0, 2.0]))
+        with no_grad():
+            b = (a * 3.0).sum()
+        assert b.value == 9.0
+        assert b._parents == () and b._vjps == ()
+
+    def test_backward_inside_raises(self):
+        a = Node(np.array(2.0))
+        loss = a * a
+        with no_grad():
+            with pytest.raises(PreconditionError, match="no_grad"):
+                backward(loss)
+        assert a.grad is None
+        backward(loss)
+        assert a.grad == 4.0
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError("inside")
+        assert autodiff._recording
+        a = Node(np.array(1.0))
+        assert (a + a)._parents == (a, a)
+
+    def test_mode_restored_after_nested_use(self):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not autodiff._recording
+            assert (Node(np.array(1.0)) * 2.0)._parents == ()
+        assert autodiff._recording
+
+    def test_values_equal_graph_mode(self):
+        rng = np.random.default_rng(0)
+        a = Node(rng.standard_normal((3, 4)))
+        b = Node(rng.standard_normal((4, 2)))
+
+        def forward():
+            return ((a.transpose().reshape((2, 6)) / 3.0).sum(axis=1) - (a * 2.0).mean() + b.sum(axis=0)) * b.mean()
+
+        graph = forward()
+        with no_grad():
+            value = forward()
+        assert np.array_equal(value.value, graph.value)
+
+
 class TestGradCheck:
     def test_quadratic(self):
         store = ParamStore(seed=1)
@@ -230,6 +279,19 @@ class TestGradCheck:
 
         err = grad_check(bad, store)
         assert err > 1e-2
+
+    def test_perturbed_forwards_build_no_graph(self):
+        store = ParamStore(seed=1)
+        store.add("w", np.array([1.5, -2.0]))
+        parents = []
+
+        def build(p):
+            out = (p["w"] * p["w"]).sum()
+            parents.append(out._parents)
+            return out
+
+        assert grad_check(build, store) <= 1e-8
+        assert parents[0] and parents[1:] and not any(parents[1:])
 
     def test_keys_subset(self):
         store = ParamStore(seed=1)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fusedet.autodiff import ParamStore, grad_check
+from fusedet.autodiff import ParamStore, as_node, backward, grad_check
+from fusedet.deformable import normalize_coords
 from fusedet.errors import NumericGuardError, PreconditionError, ShapeError
 from fusedet.evaluation import Box, GroundTruth
 from fusedet.ops import bilinear_sample, sigmoid
@@ -42,6 +43,26 @@ def roi_align_oracle(x: np.ndarray, box: Box, out: int, sampling: int) -> np.nda
                     acc += bilinear_sample(x, np.array([[xn], [yn]])).value[:, 0]
             res[:, bi, bj] = acc / (sampling * sampling)
     return res
+
+
+def roi_align_loop_grid(x, box: Box, out: int, sampling: int):
+    """roi_align with its sample grid built by the 4-deep Python loop that
+    the broadcast grid replaced, kept as its bit-exact oracle."""
+    d, h, w = x.value.shape
+    bw = (box.x2 - box.x1) / out
+    bh = (box.y2 - box.y1) / out
+    sub = (np.arange(sampling) + 0.5) / sampling
+    xs, ys = [], []
+    for pi in range(out):
+        for pj in range(out):
+            for t in sub:
+                for u in sub:
+                    ys.append(box.y1 + (pi + t) * bh)
+                    xs.append(box.x1 + (pj + u) * bw)
+    px = np.clip(np.asarray(xs) - 0.5, 0.0, w - 1.0)
+    py = np.clip(np.asarray(ys) - 0.5, 0.0, h - 1.0)
+    sampled = bilinear_sample(x, normalize_coords(px, py, h, w))
+    return sampled.reshape((d, out, out, sampling * sampling)).mean(axis=3)
 
 
 def record(x1, y1, x2, y2, class_id):
@@ -83,6 +104,22 @@ class TestRoiAlign:
         got = roi_align(x, box, out=3, sampling=3).value
         want = roi_align_oracle(x, box, out=3, sampling=3)
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("out, sampling", [(2, 1), (7, 2)])
+    @pytest.mark.parametrize("box", [Box(0.7, 1.3, 5.2, 4.9), Box(0.0, 2.5, 7.0, 6.0)], ids=["inner", "flush"])
+    def test_broadcast_grid_equals_loop_grid(self, out, sampling, box):
+        """Value and map gradient bit for bit, also for a box flush with
+        the left and right edges of the (3, 6, 7) map."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 6, 7))
+        probe = rng.standard_normal((3, out, out))
+        got_x, want_x = as_node(x), as_node(x)
+        got = roi_align(got_x, box, out=out, sampling=sampling)
+        want = roi_align_loop_grid(want_x, box, out, sampling)
+        assert np.array_equal(got.value, want.value)
+        backward((got * probe).sum())
+        backward((want * probe).sum())
+        assert np.array_equal(got_x.grad, want_x.grad)
 
     def test_roi_vector_is_global_average(self):
         rng = np.random.default_rng(3)

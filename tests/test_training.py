@@ -1,15 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fusedet import fmp, ops, training
+from fusedet import fmp, ops, prototypes, training
 from fusedet.autodiff import as_node, backward
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
 from fusedet.evaluation import Box, Detection
 from fusedet.model import ModelConfig, init_params, query_features
-from fusedet.prototypes import PrototypeSet, extract_prototypes, task_encodings
+from fusedet.prototypes import PrototypeSet, average_prototypes, cam_forward, extract_prototypes, task_encodings
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
     NMS_BLOCK,
@@ -588,24 +589,86 @@ class TestInference:
         assert np.array_equal(ir2[:2], ir[:2])
         assert np.all(ir2[2:] == 0.0)
 
-    def test_support_prototypes_fuse_each_image_once(self, tmp_path, monkeypatch):
-        index, _, cfg, supports = tiny_setup(tmp_path)
-        # one box per class, both on the same image: that image is fused
-        # once, and the two equal boxes pool to equal prototype rows
-        record = supports[0].instances[0][0]
-        instances = {0: [record], 1: [dataclasses.replace(record, class_id=1)]}
-        fused = []
-        features = training.query_features
+    def test_precompute_fuses_and_pools_distinct_supports_once(self, tmp_path, monkeypatch):
+        index, _, cfg, _ = tiny_setup(tmp_path)
+        split = SplitSpec(base_classes=(0,), novel_classes=(1,))
+        supports = build_supports(index, split, k=2, n_seeds=4)
+        records = [g for s in supports for rs in s.instances.values() for g in rs]
+        per_draw = [{g.image_id for rs in s.instances.values() for g in rs} for s in supports]
+        distinct = set().union(*per_draw)
+        assert len(distinct) < sum(len(ids) for ids in per_draw)  # the draws share images
+        fused, pooled = [], []
+        features, pool = training.query_features, prototypes.roi_vector
 
         def counting(rgb, ir, *rest):
-            fused.append(rgb)
+            fused.append(rgb.shape)
             return features(rgb, ir, *rest)
 
+        def counting_pool(feat, box, *rest):
+            pooled.append(box)
+            return pool(feat, box, *rest)
+
         monkeypatch.setattr(training, "query_features", counting)
-        protos = support_prototypes(index, instances, (0, 1), cfg, init_params(cfg, seed=0).nodes())
-        assert len(fused) == 1 and fused[0].shape == (1, 4, 4, 4)
+        monkeypatch.setattr(training, "roi_vector", counting_pool)
+        monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
+        precompute_prototypes(index, supports, cfg, init_params(cfg, seed=0).nodes())
+        assert fused == [(len(distinct), 4, 4, 4)]
+        assert len(pooled) == len(set(records)) < len(records)
+
+    def test_precompute_without_draws_rejected(self, tmp_path):
+        index, _, cfg, _ = tiny_setup(tmp_path)
+        with pytest.raises(PreconditionError, match="no prototype sets"):
+            precompute_prototypes(index, [], cfg, init_params(cfg, seed=0).nodes())
+
+    def test_equal_boxes_pool_to_equal_rows(self, tmp_path):
+        index, _, cfg, supports = tiny_setup(tmp_path)
+        # one box per class, both on the same image
+        record = supports[0].instances[0][0]
+        instances = {0: [record], 1: [dataclasses.replace(record, class_id=1)]}
+        params = init_params(cfg, seed=0).nodes()
+        maps = dict(zip([record.image_id], training.fuse_images(index, [record.image_id], cfg, params)))
+        protos = support_prototypes(maps, instances, (0, 1), cfg)
         assert protos.class_ids == (0, 1)
         assert np.array_equal(protos.values[0], protos.values[1])
+
+    def test_infer_and_precompute_build_no_graph(self, tmp_path, monkeypatch):
+        index, _, cfg, supports = tiny_setup(tmp_path)
+        params = init_params(cfg, seed=0).nodes()
+        built = []
+        for name in ("extract_prototypes", "cam_forward"):
+            def recording(*args, _fn=getattr(training, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                built.append(out.s if isinstance(out, PrototypeSet) else out)
+                return out
+
+            monkeypatch.setattr(training, name, recording)
+        protos = precompute_prototypes(index, supports, cfg, params)
+        infer(*index.load_pair(sorted(index.entries)[0]), protos, cfg, params)
+        assert len(built) == len(supports) + 1
+        assert all(node._parents == () for node in built)
+        assert (params["cam.w"] * 2.0)._parents  # graph mode again afterwards
+
+    def test_infer_equals_graph_mode_oracle(self, tmp_path, batch_setup):
+        """Value-only inference gives the detections, bit for bit, of the
+        same forward with its graph built."""
+        index, _, cfg, supports = tiny_setup(tmp_path)
+        big_index, big_supports, big_store = batch_setup
+        runs = [
+            (index, supports, cfg.with_updates(score_thr=0.0), init_params(cfg, seed=0)),
+            (big_index, big_supports, BATCH_MODEL.with_updates(score_thr=0.0), big_store),
+        ]
+        for run_index, run_supports, run_cfg, run_store in runs:
+            params = run_store.nodes()
+            params["head.box_b"] = as_node(np.array([-1.0, -1.0, 1.0, 1.0]))  # widening prior
+            protos = precompute_prototypes(run_index, run_supports, run_cfg, params)
+            found = 0
+            for image_id in sorted(run_index.entries):
+                rgb, ir = run_index.load_pair(image_id)
+                got = infer(rgb, ir, protos, run_cfg, params, image_id)
+                want = graph_mode_infer(rgb, ir, protos, run_cfg, params, image_id)
+                assert_same_detections(got, want)
+                found += len(got)
+            assert found
 
     def test_duplicate_support_sets_average_to_themselves(self, tmp_path):
         index, split, cfg, supports = tiny_setup(tmp_path)
@@ -614,6 +677,28 @@ class TestInference:
         twice = precompute_prototypes(index, [supports[0], supports[0]], cfg, params)
         assert np.allclose(once.values, twice.values, atol=1e-15)
         assert once.class_ids == twice.class_ids
+
+
+def graph_mode_infer(rgb, ir, protos, cfg, params, image_id):
+    """infer's forward with its graph built, as before value-only mode."""
+    f_q = query_features(rgb, ir, cfg, params)
+    f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
+    return toy_head(f_cam, protos, params, cfg, image_id)
+
+
+def per_draw_precompute(index, support_sets, cfg, params):
+    """precompute_prototypes as it was before fuse-once and pool-once,
+    kept as its oracle: in graph mode, each draw fuses its own images in
+    one batch and pools each of its boxes."""
+    per_seed = []
+    for sset in support_sets:
+        classes = sorted(sset.instances)
+        grouped = training.group_by_image(sset.instances, classes)
+        maps = training.fuse_images(index, grouped, cfg, params)
+        per_seed.append(
+            extract_prototypes(zip(maps, grouped.values()), classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
+        )
+    return average_prototypes(per_seed)
 
 
 # The per-image fusion that one batched fusion per support draw and per
@@ -715,7 +800,9 @@ class TestBatchedFusion:
         probe = np.random.default_rng(2).standard_normal((len(classes), 8))
         want_nodes, got_nodes = store.nodes(), store.nodes()
         want = oracle_support_prototypes(index, sset.instances, classes, BATCH_MODEL, want_nodes)
-        got = support_prototypes(index, sset.instances, classes, BATCH_MODEL, got_nodes)
+        ids = list(training.group_by_image(sset.instances, classes))
+        maps = dict(zip(ids, training.fuse_images(index, ids, BATCH_MODEL, got_nodes)))
+        got = support_prototypes(maps, sset.instances, classes, BATCH_MODEL)
         assert np.array_equal(got.values, want.values) and got.class_ids == want.class_ids
         backward((want.s * probe).sum())
         backward((got.s * probe).sum())
@@ -723,6 +810,20 @@ class TestBatchedFusion:
             w, g = want_nodes[key].grad, got_nodes[key].grad
             assert (w is None) == (g is None), key
             assert w is None or np.array_equal(w, g), key
+
+    @pytest.mark.parametrize("n_seeds", [2, 5])
+    def test_precompute_equals_per_draw_oracle(self, batch_setup, n_seeds):
+        """Fuse-once and pool-once give the per-draw table bit for bit, on
+        draws that share images and on images with two support boxes."""
+        index, _, store = batch_setup
+        supports = build_supports(index, BATCH_SPLIT, k=2, n_seeds=n_seeds)
+        records = [g for s in supports for rs in s.instances.values() for g in rs]
+        assert len({g.image_id for g in records}) < len(records)
+        assert max(Counter(g.image_id for g in set(records)).values()) >= 2  # an image with two boxes
+        want = per_draw_precompute(index, supports, BATCH_MODEL, store.nodes())
+        got = precompute_prototypes(index, supports, BATCH_MODEL, store.nodes())
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.t, want.t) and got.class_ids == want.class_ids
 
     def test_maps_of_different_shapes_fuse_one_by_one(self, tmp_path):
         index = tiny_dataset(tmp_path)
