@@ -1,22 +1,25 @@
-"""Seeded fixtures for the finite-difference gradient audit.
-
-Each builder maps (seed, root) to a (store, build) pair: a parameter store
-and a function from its leaf nodes to a scalar loss; `root` is a scratch
-directory for a case's dataset.  Criterion 03 audits every seed of every
-row of AUDIT_CASES at GRAD_TOL, and the `gradcheck` command one seed a row.
+"""Every self-check, once.  AUDIT_CASES: gradient builders mapping (seed,
+root) to a parameter store and a function from its leaf nodes to a scalar
+loss (`root`, a scratch directory for a case's dataset), audited at GRAD_TOL
+by criterion 03 on every seed and by `gradcheck` on one seed a row.  CHECKS:
+oracle checks at one size, each raising on failure and otherwise returning
+its figures, run by `selftest` and printed by criteria 01, 02, 04 and 05.
 """
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Node, ParamStore, backward
-from .data import SplitSpec, build_supports, sample_episode
-from .deformable import CDAConfig, FusionConfig, fusion_forward, init_fusion_params
+from . import deformable, fmp, ops, prototypes  # via the module, so a fault put there reaches the checks
+from .autodiff import Node, ParamStore, as_node, backward, grad_check
+from .data import SplitSpec, build_supports, load_index, sample_episode
+from .deformable import CDAConfig, FusionConfig, cda_forward, fusion_forward, init_cda_params, init_fusion_params
+from .evaluation import Box, Detection, GroundTruth, average_precision
 from .model import ModelConfig, init_params
-from .neighborhood import NAConfig, init_na_params, na_forward
-from .prototypes import PrototypeSet, cam_forward, cosine_ce_loss, init_cam_params, task_encodings
+from .neighborhood import NAConfig, init_na_params, na_forward, neighborhood
+from .prototypes import PrototypeSet, cam_forward, cosine_ce_loss, init_cam_params
 from .synth import SynthConfig, generate_synthetic
 from .training import TrainConfig, train_loss
 
@@ -76,7 +79,7 @@ def aggregation_case(seed: int, root: Path):
     store.xavier_uniform("protos", (c, d), d, c)
     f_q = rng.standard_normal((d, 3, 3))
     probe = rng.standard_normal((d, 3, 3))
-    t = task_encodings(c, d)
+    t = prototypes.task_encodings(c, d)
 
     def build(p):
         protos = PrototypeSet(s=p["protos"], t=t, class_ids=(0, 1))
@@ -161,3 +164,223 @@ def gradcheck_cases(seed: int, root: Path):
     `seed` modulo the family's seed count."""
     for name, case, seeds in AUDIT_CASES:
         yield (name, *case(seeds[seed % len(seeds)], root))
+
+
+def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=0.0) -> np.ndarray:
+    """softmax(q k^T / sqrt(D) + mask) v over (tokens, D) rows, straight-line."""
+    logits = q @ k.T / np.sqrt(q.shape[1]) + mask
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return (e / e.sum(axis=1, keepdims=True)) @ v
+
+
+def na_oracle(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, k: int) -> np.ndarray:
+    """Window attention as dense attention with -inf outside each window."""
+    d, h, w = x.shape
+    xf = x.reshape(d, h * w).T
+    mask = np.full((h * w, h * w), -np.inf)
+    for i in range(h):
+        for j in range(w):
+            for a, b in neighborhood(i, j, h, w, k):
+                mask[i * w + j, a * w + b] = 0.0
+    return dense_attention(xf @ wq.T, xf @ wk.T, xf @ wv.T, mask).T.reshape(d, h, w)
+
+
+def cda_dense_oracle(f_res, f_q, f_kv, store: ParamStore) -> np.ndarray:
+    """`cda.*` deformable attention with zero offsets at stride 1, which puts
+    a key at every pixel: dense attention plus the FFN."""
+    d, h, w = f_q.shape
+    p = {name: store.array(f"cda.{name}") for name in ("wq", "wk", "wv", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")}
+    qf, kv = f_q.reshape(d, h * w).T, f_kv.reshape(d, h * w).T
+    inner = f_q + dense_attention(qf @ p["wq"].T, kv @ p["wk"].T, kv @ p["wv"].T).T.reshape(d, h, w)
+
+    def conv(wk: str, bk: str, m: np.ndarray) -> np.ndarray:
+        return np.tensordot(p[wk], m, axes=([1], [0])) + p[bk][:, None, None]
+
+    return f_res + conv("ffn_w2", "ffn_b2", np.maximum(conv("ffn_w1", "ffn_b1", inner), 0.0))
+
+
+def check_softmax_rows() -> str:
+    s = ops.softmax(np.random.default_rng(3).standard_normal((6, 5)), axis=1).value
+    err = np.abs(s.sum(axis=1) - 1.0).max()
+    assert np.all(s >= 0) and err <= 1e-12, f"softmax rows: min {s.min():.3e}, sums off 1 by {err:.3e}"
+    return f"6 rows sum to 1 within {err:.3e} <= 1e-12"
+
+
+def check_window_oracle() -> str:
+    """Criterion 01."""
+    rng = np.random.default_rng(12345)
+    worst = 0.0
+    for i in range(50):
+        k = int(rng.choice([1, 3, 5]))
+        d, h, w = int(rng.integers(1, 9)), int(rng.integers(k, 10)), int(rng.integers(k, 10))
+        store = ParamStore(seed=i)
+        init_na_params(store, "na", d)
+        x = rng.standard_normal((d, h, w))
+        got = na_forward(x, NAConfig(k=k, channels=d), store.nodes(), "na").value
+        want = na_oracle(x, store.array("na.wq"), store.array("na.wk"), store.array("na.wv"), k)
+        worst = max(worst, float(np.abs(got - want).max()))
+    assert worst <= 1e-10, f"window attention deviates from the masked oracle by {worst:.3e}"
+    return f"window attention vs masked dense oracle, 50 maps, max abs err {worst:.3e} <= 1e-10"
+
+
+def check_cda_dense() -> str:
+    """Criterion 02."""
+    rng = np.random.default_rng(777)
+    worst = 0.0
+    for i in range(20):
+        d, h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        cfg = CDAConfig(r=1, s=0.5, k_off=3, channels=d)
+        store = ParamStore(seed=100 + i)  # offset weights start at zero
+        init_cda_params(store, "cda", cfg)
+        f_res, f_q, f_kv = (rng.standard_normal((d, h, w)) for _ in range(3))
+        got = cda_forward(f_res, f_q, f_kv, cfg, store.nodes(), "cda").value
+        worst = max(worst, float(np.abs(got - cda_dense_oracle(f_res, f_q, f_kv, store)).max()))
+    assert worst <= 1e-10, f"zero-offset attention deviates from the dense oracle by {worst:.3e}"
+    return f"zero-offset r=1 attention vs dense oracle, 20 pairs, max abs err {worst:.3e} <= 1e-10"
+
+
+def check_offset_bound() -> str:
+    """Criterion 04: weights that drive tanh toward saturation."""
+    rng = np.random.default_rng(4)
+    inputs = checked = 0
+    for s in (0.1, 0.25, 0.5, 1.0, 2.0):
+        for r, k_off in ((1, 3), (2, 3), (2, 5), (3, 5)):
+            d = int(rng.integers(2, 6))
+            cfg = CDAConfig(r=r, s=s, k_off=k_off, channels=d)
+            store = ParamStore(seed=inputs)
+            init_cda_params(store, "cda", cfg)
+            store.set_array("cda.off_w", 100.0 * rng.standard_normal((2, d)))
+            store.set_array("cda.off_b", 10.0 * rng.standard_normal(2))
+            dp = deformable.offset_net(3.0 * rng.standard_normal((500, d, 6, 6)), cfg, store.nodes(), "cda").value
+            assert np.abs(dp).max() <= s, f"offset magnitude {np.abs(dp).max()} exceeds bound {s}"
+            inputs, checked = inputs + len(dp), checked + dp.size
+    return f"|offset| <= s on {inputs} random inputs ({checked} entries), s in [0.1, 2.0], 0 violations"
+
+
+def check_average_precision() -> str:
+    """Criterion 05: hand-walked cases, and AP unmoved by a monotone
+    rescaling of the scores."""
+    first, second = Box(0, 0, 2, 2), Box(5, 5, 7, 7)
+    gts = [GroundTruth(first, 0, "a"), GroundTruth(second, 0, "a")]
+    dets = [Detection(first, 0.9, 0, "a"), Detection(Box(10, 10, 12, 12), 0.8, 0, "a"), Detection(second, 0.7, 0, "a")]
+    ap = average_precision(dets, gts, class_id=0)
+    assert abs(ap - 5.0 / 6.0) < 1e-15, f"hand-walked case gave {ap}, want 5/6"
+    perfect = [Detection(g.box, 0.9, 0, "a") for g in gts]
+    assert average_precision(perfect, gts, 0) == 1.0, "perfect detections not AP 1.0"
+    assert average_precision([], gts, 0) == 0.0, "empty detections not AP 0.0"
+
+    rng = np.random.default_rng(55)
+    gts, dets = [], []
+    scores = rng.permutation(np.linspace(0.01, 0.99, 100))
+    for i in range(100):
+        x, y = rng.uniform(0, 50, size=2)
+        c, img = int(rng.integers(0, 3)), f"im{int(rng.integers(0, 10))}"
+        gts.append(GroundTruth(Box(x, y, x + 4, y + 4), c, img))
+        dx, dy = rng.uniform(-3, 3, size=2)
+        dets.append(Detection(Box(x + dx, y + dy, x + dx + 4, y + dy + 4), float(scores[i]), c, img))
+    base = [average_precision(dets, gts, c) for c in range(3)]
+    for rescale in (lambda s: 0.3 * s + 2.0, lambda s: s**3, lambda s: float(np.expm1(s))):
+        moved = [Detection(d.box, rescale(d.score), d.class_id, d.image_id) for d in dets]
+        assert [average_precision(moved, gts, c) for c in range(3)] == base, "AP moved under a monotone rescale"
+    assert 0.0 < min(base) and max(base) < 1.0, "rescale case should not be degenerate"
+    return ("hand-walked AP exactly 5/6, perfect 1.0, empty 0.0, "
+            f"monotone-rescale invariant on 100 instances (APs {[f'{a:.3f}' for a in base]})")
+
+
+def check_reference_grid() -> str:
+    g = deformable.reference_grid(2, 2, 1)
+    assert np.array_equal(g, [[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]]), f"2x2 stride-1 grid wrong: {g}"
+    g = deformable.reference_grid(4, 4, 4)
+    assert np.array_equal(g, np.zeros((2, 1))), f"4x4 stride-4 grid wrong: {g}"
+    return "2x2 stride 1 on the corners, 4x4 stride 4 at the center"
+
+
+def check_task_encodings() -> str:
+    a = prototypes.task_encodings(4, 8)
+    assert np.array_equal(a, prototypes.task_encodings(4, 8)), "slot encodings not deterministic"
+    assert np.array_equal(a[0], np.tile([0.0, 1.0], 4)), f"slot 0 sines and cosines not 0 and 1: {a[0]}"
+    return "4 slots x 8 channels, repeatable, slot 0 sines 0 and cosines 1"
+
+
+def check_container_round_trip() -> str:
+    x = np.random.default_rng(31).standard_normal((3, 4, 5))
+    store = ParamStore(seed=9)
+    store.xavier_uniform("a.w", (3, 4), 4, 3)
+    store.zeros("a.b", (3,))
+    with tempfile.TemporaryDirectory() as tmp:
+        fmp.write_map(Path(tmp) / "map.fmp", x)
+        store.save(Path(tmp) / "params.pst")
+        y, back = fmp.read_map(Path(tmp) / "map.fmp"), ParamStore.load(Path(tmp) / "params.pst")
+    assert np.array_equal(x, y), "map round-trip not bit-exact"
+    assert (back.seed, back.keys()) == (store.seed, sorted(store.keys())), "parameter seed or keys changed"
+    assert all(np.array_equal(store.array(k), back.array(k)) for k in store.keys()), "parameter values changed"
+    return "a map and a 2-key parameter store read back bit for bit"
+
+
+def check_annotation_round_trip() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        index = generate_synthetic(tmp, SynthConfig(classes=2, images=3, channels=4, height=8, width=8), seed=1)
+        back = load_index(Path(tmp) / "index.txt")
+    boxes = [(image_id, entry.boxes) for image_id, entry in index.entries.items()]
+    assert [(i, e.boxes) for i, e in back.entries.items()] == boxes, "image ids or boxes changed in round-trip"
+    return f"{len(boxes)} images' boxes read back equal"
+
+
+# The two cheapest gradient-audit families, which selftest runs at their
+# first verified seed so that it can flag a faulty VJP.
+SELFTEST_FAMILIES = ("window-attention", "aggregation-and-cosine-loss")
+
+
+def check_gradients() -> str:
+    errs = {}
+    for name, case, seeds in AUDIT_CASES:
+        if name in SELFTEST_FAMILIES:
+            store, build = case(seeds[0], None)  # neither family writes a dataset
+            errs[name] = grad_check(build, store)
+    detail = ", ".join(f"{name} {err:.3e}" for name, err in errs.items())
+    assert max(errs.values()) <= GRAD_TOL, f"analytic and central-difference gradients differ: {detail}"
+    return f"{detail} <= {GRAD_TOL:g}"
+
+
+CHECKS: tuple[tuple[str, object], ...] = (
+    ("softmax-normalization", check_softmax_rows),
+    ("window-attention-vs-masked-oracle", check_window_oracle),
+    ("zero-offset-attention-vs-dense-oracle", check_cda_dense),
+    ("average-precision-cases", check_average_precision),
+    ("offset-bound", check_offset_bound),
+    ("reference-grid-corners", check_reference_grid),
+    ("task-encoding-determinism", check_task_encodings),
+    ("container-round-trip", check_container_round_trip),
+    ("annotation-round-trip", check_annotation_round_trip),
+    ("vjp-vs-central-differences", check_gradients),
+)
+
+FAULTS = ("softmax",)
+
+
+def _corrupt_softmax(x, axis):
+    x = as_node(x)
+    e = np.exp(x.value - x.value.max(axis=axis, keepdims=True))
+    return Node(e / e.sum(axis=axis, keepdims=True) + 0.01, (x,), (lambda g: g * 0.0,))
+
+
+def run_selftests(inject_fault: str | None = None) -> list[tuple[str, bool, str]]:
+    """(name, passed, figures or failure) per registered check.
+    inject_fault="softmax" swaps in a broken softmax for the duration, to
+    show that the checks catch it."""
+    if inject_fault not in (None, *FAULTS):
+        raise ValueError(f"unknown fault {inject_fault!r}; expected one of {FAULTS}")
+    original = ops.softmax
+    if inject_fault == "softmax":
+        ops.softmax = _corrupt_softmax
+    results = []
+    try:
+        for name, fn in CHECKS:
+            try:
+                results.append((name, True, fn()))
+            except Exception as exc:  # noqa: BLE001 - report, never crash the runner
+                results.append((name, False, f"{type(exc).__name__}: {exc}"))
+        return results
+    finally:
+        ops.softmax = original

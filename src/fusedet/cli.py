@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import fmp
-from .audit import GRAD_TOL, gradcheck_cases
+from .audit import FAULTS, GRAD_TOL, gradcheck_cases, run_selftests
 from .autodiff import ParamStore, grad_check
 from .config import build_section, build_split, load_config_file, parse_class_ids, resolved_lines
 from .data import SplitSpec, build_supports, load_index
@@ -28,7 +28,6 @@ from .errors import NumericGuardError, ParseError, PreconditionError, ShapeError
 from .evaluation import average_precision, nap50, read_detections, read_ground_truths, write_detections
 from .model import ModelConfig, init_params
 from .prototypes import load_prototypes, save_prototypes
-from .selftest import FAULTS, run_selftests
 from .synth import SynthConfig, generate_synthetic
 from .training import TrainConfig, detect_over, precompute_prototypes, run_training
 
@@ -159,16 +158,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if not __debug__:
+        raise PreconditionError("selftest's checks are assert statements, which python -O removes")
     results = run_selftests(inject_fault=args.inject_fault)
-    failures = 0
     for name, ok, detail in results:
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name} ({detail})")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 2 if failures else 0
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 2
 
 
 def cmd_gradcheck(args) -> int:

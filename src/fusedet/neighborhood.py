@@ -86,21 +86,3 @@ def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
     out = (attn.reshape((*lead, h * w, cfg.k * cfg.k, 1)) * vn).sum(axis=-2)
     return ops.tokens_to_map(out, h, w)
 
-
-def na_oracle(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, k: int) -> np.ndarray:
-    """Dense-attention reference: full HW x HW attention with -inf outside
-    each location's window.  Slow on purpose; used to check na_forward."""
-    d, h, w = x.shape
-    xf = x.reshape(d, h * w).T
-    q, key, v = xf @ wq.T, xf @ wk.T, xf @ wv.T
-    logits = q @ key.T / np.sqrt(d)
-    mask = np.full((h * w, h * w), -np.inf)
-    for i in range(h):
-        for j in range(w):
-            for a, b in neighborhood(i, j, h, w, k):
-                mask[i * w + j, a * w + b] = 0.0
-    logits = logits + mask
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    attn = e / e.sum(axis=1, keepdims=True)
-    return (attn @ v).T.reshape(d, h, w)

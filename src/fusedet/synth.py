@@ -102,11 +102,12 @@ def _random_box(cfg: SynthConfig, rng: np.random.Generator) -> Box:
 
 def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "pair") -> DatasetIndex:
     """Write map pairs (one container file per map), the annotation index, and a ground-truth
-    interchange file under out_dir; return the in-memory index."""
+    interchange file under out_dir; return the in-memory index.  Every map is
+    checked finite before out_dir is made, so a non-finite one leaves nothing."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 424242))
     index = DatasetIndex()
+    maps = []  # (path, map) in write order
     for i in range(cfg.images):
         image_id = f"{prefix}{i:04d}"
         n_obj = int(rng.integers(1, cfg.max_objects + 1))
@@ -117,9 +118,13 @@ def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "
         rgb, ir = render_pair(cfg, records, rng)
         rgb_path = out / f"{image_id}_rgb.fmp"
         ir_path = out / f"{image_id}_ir.fmp"
-        fmp.write_map(rgb_path, rgb)
-        fmp.write_map(ir_path, ir)
+        maps += [(rgb_path, rgb), (ir_path, ir)]
         index.add(IndexEntry(image_id=image_id, rgb_path=rgb_path, ir_path=ir_path, boxes=records, condition="clean"))
+    for path, m in maps:
+        fmp.require_finite(path, {"map": m})
+    out.mkdir(parents=True, exist_ok=True)
+    for path, m in maps:
+        fmp.write_map(path, m)
     save_index(out / "index.txt", index)
     write_ground_truths(out / "gts.txt", [g for entry in index.entries.values() for g in entry.boxes])
     return index

@@ -1,0 +1,230 @@
+"""The audit registry can be seen to fail.
+
+Every registered oracle check has a fault here that breaks what the check
+guards, and only that row may report FAIL under it.  Every VJP of the op
+layer and of Node arithmetic has a mutant that scales it by 1.01; each
+mutant is run against the cheapest gradient family that reaches it, and the
+gradient audit must flag it.
+"""
+import numpy as np
+import pytest
+
+from fusedet import audit, data, deformable, evaluation, fmp, neighborhood, ops, prototypes
+from fusedet.autodiff import Node, as_node, grad_check
+
+
+def scaled_vjp(fn, slot: int):
+    """`fn` with the VJP of its result's parent `slot` scaled by 1.01."""
+
+    def mutant(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for node in out if isinstance(out, list) else [out]:
+            if slot < len(node._vjps):  # value-only nodes keep no VJPs
+                vjps = list(node._vjps)
+                vjps[slot] = lambda g, inner=vjps[slot]: 1.01 * inner(g)
+                node._vjps = tuple(vjps)
+        return out
+
+    return mutant
+
+
+def install_mutant(monkeypatch, op: str, slot: int) -> None:
+    owner, name = (Node, op.removeprefix("Node.")) if op.startswith("Node.") else (ops, op)
+    monkeypatch.setattr(owner, name, scaled_vjp(getattr(owner, name), slot))
+
+
+# (op, parent slot) -> (cheapest family that reaches it, one parameter whose
+# gradient flows through it).  Families by cost: window-attention,
+# aggregation-and-cosine-loss, fusion, training-loss.
+MUTANTS = {
+    ("matmul", 0): ("aggregation-and-cosine-loss", "cam.ffn_b1"),
+    ("matmul", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("conv1x1", 0): ("fusion", "cda_rgb.off_b"),
+    ("conv1x1", 1): ("window-attention", "na.wq"),
+    ("conv1x1", 2): ("fusion", "cda_rgb.off_b"),
+    ("depthwise_conv", 0): ("fusion", "na_rgb.wq"),
+    ("depthwise_conv", 1): ("fusion", "cda_rgb.dw"),
+    ("layer_norm", 0): ("fusion", "na_rgb.wq"),
+    ("layer_norm", 1): ("fusion", "cda_rgb.ln_g"),
+    ("layer_norm", 2): ("fusion", "cda_rgb.ln_b"),
+    ("relu", 0): ("aggregation-and-cosine-loss", "cam.ffn_b1"),
+    ("sigmoid", 0): ("aggregation-and-cosine-loss", "protos"),
+    ("tanh", 0): ("fusion", "cda_rgb.off_b"),
+    ("gelu", 0): ("fusion", "cda_rgb.ln_g"),
+    ("softmax", 0): ("window-attention", "na.wq"),
+    ("log_softmax", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("sqrt", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("absolute", 0): ("training-loss", "head.box_b"),
+    ("take", 0): ("window-attention", "na.wk"),
+    ("concat", 0): ("fusion", "cda_ir.off_b"),
+    ("concat", 1): ("fusion", "cda_rgb.off_b"),
+    ("map_to_tokens", 0): ("window-attention", "na.wq"),
+    ("tokens_to_map", 0): ("window-attention", "na.wq"),
+    ("unstack", 0): ("training-loss", "cda_rgb.off_b"),
+    ("bilinear_sample", 0): ("fusion", "na_rgb.wq"),
+    ("bilinear_sample", 1): ("fusion", "cda_rgb.off_b"),
+    ("Node.__add__", 0): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
+    ("Node.__add__", 1): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
+    ("Node.__sub__", 0): ("training-loss", "head.box_b"),
+    ("Node.__mul__", 0): ("window-attention", "na.wq"),
+    ("Node.__mul__", 1): ("window-attention", "na.wk"),
+    ("Node.__truediv__", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("Node.__truediv__", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("Node.__neg__", 0): ("training-loss", "head.obj_b"),
+    ("Node.sum", 0): ("window-attention", "na.wq"),
+    ("Node.reshape", 0): ("window-attention", "na.wq"),
+    ("Node.transpose", 0): ("window-attention", "na.wq"),
+}
+
+# Slots no family can see, with the reason.
+UNSEEN = {
+    ("Node.__sub__", 1): "the one Node subtraction in any family, the box term's "
+    "`take(reg, cells) - offsets`, subtracts constant targets",
+}
+
+
+@pytest.fixture(scope="module")
+def families(tmp_path_factory):
+    """(store, build) of each gradient family at its first verified seed."""
+    root = tmp_path_factory.mktemp("families")
+    return {name: case(seeds[0], root / name) for name, case, seeds in audit.AUDIT_CASES}
+
+
+def failing(results) -> list[str]:
+    return [name for name, ok, _ in results if not ok]
+
+
+@pytest.mark.parametrize("op, slot", sorted(MUTANTS), ids=lambda v: str(v))
+def test_vjp_mutant_is_caught(op, slot, families, monkeypatch):
+    family, key = MUTANTS[op, slot]
+    install_mutant(monkeypatch, op, slot)
+    store, build = families[family]
+    assert grad_check(build, store, keys=[key]) > audit.GRAD_TOL
+    if family in audit.SELFTEST_FAMILIES:
+        assert failing(audit.run_selftests()) == ["vjp-vs-central-differences"]
+
+
+def test_every_op_has_a_mutant():
+    public = {
+        name for name, fn in vars(ops).items()
+        if callable(fn) and getattr(fn, "__module__", None) == ops.__name__ and not name.startswith("_")
+    }
+    public -= {"pixel_coords"}  # a coordinate helper that builds no Node
+    covered = {op for op, _ in MUTANTS} | {op for op, _ in UNSEEN}
+    assert public <= covered
+    assert not set(MUTANTS) & set(UNSEEN)
+
+
+def off_normalization(monkeypatch):
+    """Softmax rows sum to 1 + 4e-12: below what the attention oracles'
+    1e-10 resolves, above the normalization check's 1e-12."""
+    softmax = ops.softmax
+
+    def skewed(x, axis):
+        out = softmax(x, axis)
+        out.value = out.value * (1.0 + 4e-12)
+        return out
+
+    monkeypatch.setattr(ops, "softmax", skewed)
+
+
+def misplaced_window(monkeypatch):
+    table = neighborhood.neighbor_table
+
+    def wrong(h, w, k):
+        t = table(h, w, k).copy()
+        t[0] = t[-1]  # the first location attends over the last one's window
+        return t
+
+    monkeypatch.setattr(neighborhood, "neighbor_table", wrong)
+
+
+def shifted_sampling(monkeypatch):
+    """Samples land 1e-3 off the point asked for, so zero offsets no longer
+    gather the pixels exactly."""
+    sample = ops.bilinear_sample
+    monkeypatch.setattr(ops, "bilinear_sample", lambda x, coords: sample(x, as_node(coords) + 1e-3))
+
+
+def overshooting_tanh(monkeypatch):
+    tanh = ops.tanh
+
+    def wide(x):
+        out = tanh(x)
+        out.value = 1.01 * out.value
+        return out
+
+    monkeypatch.setattr(ops, "tanh", wide)
+
+
+def one_match_per_group(monkeypatch):
+    """Each (image, class) group lets only its first detection match."""
+    match = evaluation.match
+
+    def first_only(dets, gts, thr):
+        flags, seen = match(dets, gts, thr), set()
+        for i in np.argsort([-d.score for d in dets], kind="stable"):
+            group = (dets[i].image_id, dets[i].class_id)
+            if flags[i]:
+                flags[i] = group not in seen
+                seen.add(group)
+        return flags
+
+    monkeypatch.setattr(evaluation, "match", first_only)
+
+
+def swapped_grid_points(monkeypatch):
+    grid = deformable.reference_grid
+
+    def swapped(h, w, r):
+        g = grid(h, w, r).copy()
+        g[:, [0, -1]] = g[:, [-1, 0]]
+        return g
+
+    monkeypatch.setattr(deformable, "reference_grid", swapped)
+
+
+def swapped_sin_cos(monkeypatch):
+    encodings = prototypes.task_encodings
+    monkeypatch.setattr(prototypes, "task_encodings", lambda c, d: encodings(c, d)[:, ::-1])
+
+
+def dropped_key(monkeypatch):
+    read = fmp.read_arrays
+
+    def drop_last(path):
+        seed, arrays = read(path)
+        arrays.pop(list(arrays)[-1])
+        return seed, arrays
+
+    monkeypatch.setattr(fmp, "read_arrays", drop_last)
+
+
+def short_box_fields(monkeypatch):
+    monkeypatch.setattr(data, "box_fields", lambda b: f"{b.x1:.6g} {b.y1:.6g} {b.x2:.6g} {b.y2:.6g}")
+
+
+# registered check -> a fault in what it guards
+BREAKS = {
+    "softmax-normalization": off_normalization,
+    "window-attention-vs-masked-oracle": misplaced_window,
+    "zero-offset-attention-vs-dense-oracle": shifted_sampling,
+    "average-precision-cases": one_match_per_group,
+    "offset-bound": overshooting_tanh,
+    "reference-grid-corners": swapped_grid_points,
+    "task-encoding-determinism": swapped_sin_cos,
+    "container-round-trip": dropped_key,
+    "annotation-round-trip": short_box_fields,
+    "vjp-vs-central-differences": lambda monkeypatch: install_mutant(monkeypatch, "take", 0),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in audit.CHECKS])
+def test_registered_check_fails_alone_on_its_fault(name, monkeypatch):
+    assert name in BREAKS, f"registered check {name} has no fault that shows it can fail"
+    BREAKS[name](monkeypatch)
+    assert failing(audit.run_selftests()) == [name]
+
+
+def test_every_fault_names_a_registered_check():
+    assert set(BREAKS) == {name for name, _ in audit.CHECKS}

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_non_finite
+import fusedet
 from fusedet import audit, fmp
 from fusedet.autodiff import ParamStore
 from fusedet.cli import main
@@ -24,7 +29,6 @@ from fusedet.errors import NumericGuardError, ParseError, PreconditionError, Sha
 from fusedet.model import ModelConfig, init_params, query_features
 from fusedet.prototypes import load_prototypes
 from fusedet.neighborhood import NAConfig
-from fusedet.selftest import CHECKS
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import TrainConfig
 
@@ -679,14 +683,24 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         lines = out.strip().splitlines()
-        assert len([l for l in lines if l.startswith("PASS")]) == len(CHECKS)
-        assert lines[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed"
+        assert [l.split()[1] for l in lines if l.startswith("PASS")] == [name for name, _ in audit.CHECKS]
+        assert lines[-1] == f"{len(audit.CHECKS)}/{len(audit.CHECKS)} checks passed"
 
     def test_injected_softmax_fault_caught(self, capsys):
         code, out, _ = run(capsys, "selftest", "--inject-fault", "softmax")
         assert code == 2
         failing = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert failing and any("softmax" in l for l in failing)
+
+    def test_refuses_to_run_without_asserts(self):
+        """Under python -O every check's assert is gone, so a broken build
+        would pass: selftest exits 2 instead."""
+        src = str(Path(fusedet.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "fusedet.cli", "selftest", "--inject-fault", "softmax"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 2 and "python -O" in done.stderr
 
 
 class TestGradcheck:
@@ -792,10 +806,7 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "synth.amplitude = 1.7e308\nsynth.max_objects = 6\nsynth.classes = 1\nsynth.images = 20\n")
         code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--seed", "0", "--config", cfg)
         assert code == 3 and "non-finite values in map" in err
-        written = sorted((tmp_path / "d").glob("*.fmp"))
-        assert written  # the maps before the first overflow are kept, and read back
-        for path in written:
-            fmp.read_map(path)
+        assert not (tmp_path / "d").exists()  # every pair is checked before the first write
 
     def test_missing_index_exits_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "infer", "--data", str(tmp_path / "none.txt"),

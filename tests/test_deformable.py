@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from fusedet.audit import na_oracle
 from fusedet.autodiff import ParamStore, grad_check
 from fusedet.deformable import (
     CDAConfig,
@@ -17,7 +18,7 @@ from fusedet.deformable import (
     reference_grid,
 )
 from fusedet.errors import PreconditionError, ShapeError
-from fusedet.neighborhood import NAConfig, init_na_params, na_oracle
+from fusedet.neighborhood import NAConfig, init_na_params
 from fusedet.ops import pixel_coords
 
 
@@ -106,14 +107,6 @@ def cda_oracle(
 
 
 class TestReferenceGrid:
-    def test_2x2_stride1_hits_corners(self):
-        g = reference_grid(2, 2, 1)
-        want = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
-        assert np.array_equal(g, want)
-
-    def test_4x4_stride4_hits_center(self):
-        assert np.array_equal(reference_grid(4, 4, 4), np.zeros((2, 1)))
-
     def test_4x4_stride2_pixel_centers(self):
         g = reference_grid(4, 4, 2)
         px, py = pixel_coords(g, 4, 4)
@@ -160,19 +153,6 @@ class TestOffsetNet:
         dp = offset_net(np.random.default_rng(0).standard_normal((4, 4, 4)), cfg, store.nodes(), "cda")
         assert np.array_equal(dp.value, np.zeros((2, 4)))
 
-    def test_tanh_bound(self):
-        rng = np.random.default_rng(1)
-        cfg = CDAConfig(r=2, s=0.5, k_off=5, channels=4)
-        store = ParamStore(seed=1)
-        init_cda_params(store, "cda", cfg)
-        store.set_array("cda.off_w", 5.0 * rng.standard_normal((2, 4)))
-        store.set_array("cda.off_b", 5.0 * rng.standard_normal(2))
-        params = store.nodes()
-        for _ in range(20):
-            x = 10.0 * rng.standard_normal((4, 4, 4))
-            dp = offset_net(x, cfg, params, "cda").value
-            assert np.abs(dp).max() <= cfg.s
-
     def test_matches_straight_line_oracle_on_ones(self):
         cfg = CDAConfig(r=2, s=0.5, k_off=3, channels=2)
         store = ParamStore(seed=7)
@@ -198,39 +178,6 @@ class TestOffsetNet:
 
 
 class TestCDAForward:
-    def test_zero_offset_r1_matches_dense_cross_attention(self):
-        rng = np.random.default_rng(2)
-        d, h, w = 4, 3, 4
-        cfg = CDAConfig(r=1, s=0.5, k_off=3, channels=d)
-        for trial in range(5):
-            store = ParamStore(seed=trial)
-            init_cda_params(store, "cda", cfg)
-            f_res = rng.standard_normal((d, h, w))
-            f_q = rng.standard_normal((d, h, w))
-            f_kv = rng.standard_normal((d, h, w))
-            got = cda_forward(f_res, f_q, f_kv, cfg, store.nodes(), "cda").value
-
-            kv = f_kv.reshape(d, h * w).T
-            q = f_q.reshape(d, h * w).T @ store.array("cda.wq").T
-            keys = kv @ store.array("cda.wk").T
-            vals = kv @ store.array("cda.wv").T
-            logits = q @ keys.T / np.sqrt(d)
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            attn = e / e.sum(axis=1, keepdims=True)
-            mixed = (attn @ vals).T.reshape(d, h, w)
-            inner = f_q + mixed
-            hidden = np.maximum(
-                np.einsum("oc,chw->ohw", store.array("cda.ffn_w1"), inner)
-                + store.array("cda.ffn_b1")[:, None, None],
-                0.0,
-            )
-            want = f_res + (
-                np.einsum("oc,chw->ohw", store.array("cda.ffn_w2"), hidden)
-                + store.array("cda.ffn_b2")[:, None, None]
-            )
-            assert np.abs(got - want).max() <= 1e-10
-
     def test_zero_ffn_is_identity_on_residual(self):
         rng = np.random.default_rng(3)
         d = 4
