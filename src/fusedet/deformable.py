@@ -49,10 +49,11 @@ class FusionConfig:
 
 
 def normalize_coords(px: np.ndarray, py: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Pixel coords -> normalized [-1, 1] (align-corners), stacked (2, N)."""
+    """(..., N) pixel coords -> normalized [-1, 1] (align-corners),
+    stacked (..., 2, N)."""
     xn = 2.0 * px / (w - 1) - 1.0 if w > 1 else np.zeros_like(px, dtype=np.float64)
     yn = 2.0 * py / (h - 1) - 1.0 if h > 1 else np.zeros_like(py, dtype=np.float64)
-    return np.stack([np.asarray(xn, dtype=np.float64), np.asarray(yn, dtype=np.float64)])
+    return np.stack([np.asarray(xn, dtype=np.float64), np.asarray(yn, dtype=np.float64)], axis=-2)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ unit square centered at (j + 0.5, i + 0.5).
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,39 +57,47 @@ def task_encodings(c: int, d: int) -> np.ndarray:
     return t
 
 
-def roi_align(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
+def roi_align(x, box: Box | Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
     """Pool a box, which must lie inside the map, to an (D, out, out) grid.
 
-    Each bin averages sampling x sampling bilinear reads at regular
-    sub-bin centers; continuous box coords shift by -0.5 onto the pixel
-    lattice, and samples clamp to the border (a box flush with the map
-    edge reads border values, not padding).
+    A (B, D, H, W) batch takes a sequence of B boxes and pools box b on
+    element b, to (B, D, out, out), with one bilinear_sample over every
+    box's samples.  Each bin averages sampling x sampling bilinear reads
+    at regular sub-bin centers; continuous box coords shift by -0.5 onto
+    the pixel lattice, and samples clamp to the border (a box flush with
+    the map edge reads border values, not padding).
     """
     x = as_node(x)
-    if x.value.ndim != 3:
-        raise ShapeError(f"feature map must be 3-d, got {x.value.shape}")
-    d, h, w = x.value.shape
-    box.require_within(h, w)
+    if x.value.ndim not in (3, 4):
+        raise ShapeError(f"feature map must be (D, H, W) or (B, D, H, W), got {x.value.shape}")
+    *lead, d, h, w = x.value.shape
+    boxes = (box,) if isinstance(box, Box) else tuple(box)
+    if len(boxes) != (lead[0] if lead else 1):
+        raise ShapeError(f"{len(boxes)} boxes for feature maps shaped {x.value.shape}")
+    for b in boxes:
+        b.require_within(h, w)
     if out < 1 or sampling < 1:
         raise PreconditionError(f"output side {out} and sampling rate {sampling} must be positive")
 
-    bw = (box.x2 - box.x1) / out
-    bh = (box.y2 - box.y1) / out
-    # steps[i, t]: bin i plus sub-bin center t, in bin widths; the samples
-    # run in (bin row, bin col, sub row, sub col) order
+    # one row per box, broadcast against steps[i, t]: bin i plus sub-bin
+    # center t, in bin widths; the samples of a box run in (bin row, bin
+    # col, sub row, sub col) order
+    x1, y1, x2, y2 = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T[:, :, None, None]
     steps = np.arange(out)[:, None] + (np.arange(sampling) + 0.5) / sampling
-    py = np.clip(box.y1 + steps * bh - 0.5, 0.0, h - 1.0)
-    px = np.clip(box.x1 + steps * bw - 0.5, 0.0, w - 1.0)
-    grid = (out, out, sampling, sampling)
-    py = np.broadcast_to(py[:, None, :, None], grid).reshape(-1)
-    px = np.broadcast_to(px[None, :, None, :], grid).reshape(-1)
-    sampled = ops.bilinear_sample(x, normalize_coords(px, py, h, w))
-    return sampled.reshape((d, out, out, sampling * sampling)).mean(axis=3)
+    py = np.clip(y1 + steps * ((y2 - y1) / out) - 0.5, 0.0, h - 1.0)
+    px = np.clip(x1 + steps * ((x2 - x1) / out) - 0.5, 0.0, w - 1.0)
+    grid = (len(boxes), out, out, sampling, sampling)
+    py = np.broadcast_to(py[:, :, None, :, None], grid).reshape(len(boxes), -1)
+    px = np.broadcast_to(px[:, None, :, None, :], grid).reshape(len(boxes), -1)
+    coords = normalize_coords(px, py, h, w)  # (boxes, 2, N)
+    sampled = ops.bilinear_sample(x, coords if lead else coords[0])
+    return sampled.reshape((*lead, d, out, out, sampling * sampling)).mean(axis=-1)
 
 
-def roi_vector(x, box: Box, out: int = 7, sampling: int = 2) -> Node:
-    """roi_align followed by global averaging: one D-vector per box."""
-    return roi_align(x, box, out, sampling).mean(axis=(1, 2))
+def roi_vector(x, box: Box | Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
+    """roi_align followed by global averaging: one D-vector per box, and
+    (B, D) for a batch."""
+    return roi_align(x, box, out, sampling).mean(axis=(-2, -1))
 
 
 def extract_prototypes(

@@ -273,8 +273,9 @@ def precompute_prototypes(
     inference-time prototype table.
 
     Value-only.  The distinct support images of all draws are fused in one
-    batch, in image id order, and each distinct support record is pooled
-    once; every draw then takes its class means over those vectors.  A
+    batch, in image id order, and the distinct support records are pooled
+    in one roi_vector call per map shape, each record on its own image's
+    map; every draw then takes its class means over those vectors.  A
     batch element and a pooled vector equal their lone computation bit for
     bit, so the table equals one built draw by draw.
     """
@@ -282,7 +283,14 @@ def precompute_prototypes(
     image_ids = sorted({r.image_id for r in records})
     with no_grad():
         maps = dict(zip(image_ids, fuse_images(index, image_ids, cfg, params)))
-        pooled = {r: roi_vector(maps[r.image_id], r.box, cfg.roi_out, cfg.roi_sampling) for r in records}
+        by_shape: dict[tuple[int, ...], list[GroundTruth]] = {}
+        for r in records:
+            by_shape.setdefault(maps[r.image_id].value.shape, []).append(r)
+        pooled = {}
+        for group in by_shape.values():
+            batch = np.stack([maps[r.image_id].value for r in group])
+            vectors = roi_vector(batch, [r.box for r in group], cfg.roi_out, cfg.roi_sampling)
+            pooled.update(zip(group, ops.unstack(vectors)))
         per_seed = [
             support_prototypes(maps, sset.instances, sorted(sset.instances), cfg, pooled) for sset in support_sets
         ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,59 @@ class TestRoiAlign:
         grid = roi_align(x, box, out=4, sampling=2).value
         vec = roi_vector(x, box, out=4, sampling=2).value
         assert np.allclose(vec, grid.mean(axis=(1, 2)), atol=1e-12)
+
+
+# (name, maps, boxes): box b of each case pools on map b.  The (2, 6, 9)
+# map is not square; "flush" boxes touch the map's edges.
+_M = np.random.default_rng(8).standard_normal((3, 2, 6, 9))
+BATCH_CASES = [
+    ("inner", [_M[0], _M[1]], [Box(0.7, 1.3, 5.2, 4.9), Box(2.25, 0.5, 8.0, 3.75)]),
+    ("flush", [_M[0], _M[1], _M[2]], [Box(0.0, 0.0, 9.0, 6.0), Box(0.0, 2.5, 9.0, 6.0), Box(3.0, 0.0, 9.0, 1.5)]),
+    ("one-channel", [_M[0, :1], _M[1, :1]], [Box(1.0, 1.0, 4.0, 5.0), Box(0.0, 0.0, 9.0, 6.0)]),
+    ("repeated-map", [_M[2], _M[2]], [Box(0.5, 0.5, 3.5, 4.0), Box(4.0, 1.0, 9.0, 6.0)]),
+]
+
+
+class TestBatchedRoiAlign:
+    """A (B, D, H, W) batch with B boxes against one 3-d call per box."""
+
+    @pytest.mark.parametrize("out, sampling", [(2, 1), (7, 2), (3, 3)])
+    @pytest.mark.parametrize("maps, boxes", [c[1:] for c in BATCH_CASES], ids=[c[0] for c in BATCH_CASES])
+    def test_equals_per_box_calls(self, maps, boxes, out, sampling):
+        """Values of roi_align and roi_vector, and the map gradient of
+        roi_align, bit for bit."""
+        batch = as_node(np.stack(maps))
+        probe = np.random.default_rng(9).standard_normal((len(boxes), maps[0].shape[0], out, out))
+        got = roi_align(batch, boxes, out=out, sampling=sampling)
+        lone = [as_node(m) for m in maps]
+        want = [roi_align(m, box, out=out, sampling=sampling) for m, box in zip(lone, boxes)]
+        assert np.array_equal(got.value, np.stack([w.value for w in want]))
+        vectors = roi_vector(batch.value, boxes, out=out, sampling=sampling).value
+        for vec, m, box in zip(vectors, maps, boxes):
+            assert np.array_equal(vec, roi_vector(m, box, out=out, sampling=sampling).value)
+        backward((got * probe).sum())
+        for w, m, p, g in zip(want, lone, probe, batch.grad):
+            backward((w * p).sum())
+            assert np.array_equal(g, m.grad)
+
+    def test_box_count_must_match_batch(self):
+        with pytest.raises(ShapeError, match="3 boxes"):
+            roi_align(np.zeros((2, 1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)] * 3)
+        with pytest.raises(ShapeError, match="1 boxes"):
+            roi_vector(np.zeros((2, 1, 6, 6)), Box(0.0, 0.0, 2.0, 2.0))
+        with pytest.raises(ShapeError, match="2 boxes"):
+            roi_align(np.zeros((1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)] * 2)
+
+    def test_box_outside_its_map_is_named(self):
+        bad = Box(1.0, 1.0, 7.5, 3.0)
+        with pytest.raises(PreconditionError, match=re.escape(f"box {bad} exceeds map extent (6, 7)")):
+            roi_align(np.zeros((2, 1, 6, 7)), [Box(0.0, 0.0, 7.0, 6.0), bad])
+
+    @pytest.mark.parametrize("shape", [(6, 6), (1, 2, 1, 6, 6)])
+    def test_map_rank_checked(self, shape):
+        boxes = [Box(0.0, 0.0, 2.0, 2.0)] * (shape[0] if len(shape) == 5 else 1)
+        with pytest.raises(ShapeError, match="feature map"):
+            roi_align(np.zeros(shape), boxes)
 
 
 class TestExtractPrototypes:

@@ -6,7 +6,7 @@ import pytest
 
 from fusedet import fmp, ops, prototypes, training
 from fusedet.autodiff import as_node, backward
-from fusedet.data import SplitSpec, build_supports, sample_episode
+from fusedet.data import SplitSpec, SupportSet, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
 from fusedet.evaluation import Box, Detection
 from fusedet.model import ModelConfig, init_params, query_features
@@ -604,16 +604,19 @@ class TestInference:
             fused.append(rgb.shape)
             return features(rgb, ir, *rest)
 
-        def counting_pool(feat, box, *rest):
-            pooled.append(box)
-            return pool(feat, box, *rest)
+        def counting_pool(feat, boxes, *rest):
+            pooled.append((np.shape(feat), list(boxes)))
+            return pool(feat, boxes, *rest)
 
         monkeypatch.setattr(training, "query_features", counting)
         monkeypatch.setattr(training, "roi_vector", counting_pool)
         monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
         precompute_prototypes(index, supports, cfg, init_params(cfg, seed=0).nodes())
         assert fused == [(len(distinct), 4, 4, 4)]
-        assert len(pooled) == len(set(records)) < len(records)
+        assert len(set(records)) < len(records)
+        # one pooling call for the one map shape, each distinct record once
+        assert [shape for shape, _ in pooled] == [(len(set(records)), 4, 4, 4)]
+        assert Counter(pooled[0][1]) == Counter(g.box for g in set(records))
 
     def test_precompute_without_draws_rejected(self, tmp_path):
         index, _, cfg, _ = tiny_setup(tmp_path)
@@ -675,7 +678,7 @@ class TestInference:
         params = init_params(cfg, seed=0).nodes()
         once = precompute_prototypes(index, [supports[0]], cfg, params)
         twice = precompute_prototypes(index, [supports[0], supports[0]], cfg, params)
-        assert np.allclose(once.values, twice.values, atol=1e-15)
+        assert np.array_equal(once.values, twice.values)
         assert once.class_ids == twice.class_ids
 
 
@@ -827,12 +830,7 @@ class TestBatchedFusion:
 
     def test_maps_of_different_shapes_fuse_one_by_one(self, tmp_path):
         index = tiny_dataset(tmp_path)
-        entry = index.entries[sorted(index.entries)[0]]
-        paths = []
-        for name, m in zip(("rgb", "ir"), index.load_pair(entry.image_id)):
-            paths.append(tmp_path / f"wide_{name}.fmp")
-            fmp.write_map(paths[-1], np.tile(m, (1, 1, 2)))
-        index.add(dataclasses.replace(entry, image_id="wide", rgb_path=paths[0], ir_path=paths[1]))
+        add_wide_pair(index, tmp_path)
         cfg = ModelConfig(**TINY_MODEL)
         params = init_params(cfg, seed=0).nodes()
         ids = [sorted(index.entries)[0], "wide"]
@@ -840,3 +838,41 @@ class TestBatchedFusion:
         assert [m.value.shape for m in maps] == [(4, 4, 4), (4, 4, 8)]
         for image_id, m in zip(ids, maps):
             assert np.array_equal(m.value, query_features(*index.load_pair(image_id), cfg, params).value)
+
+    def test_precompute_pools_once_per_map_shape(self, tmp_path, monkeypatch):
+        """Support images of two map sizes: one pooling call per size, and
+        the per-draw table bit for bit."""
+        index, _, cfg, supports = tiny_setup(tmp_path)
+        add_wide_pair(index, tmp_path)
+        # the second draw moves one record of each class onto the wide map
+        wide = SupportSet(k=2, instances={
+            c: [rs[0], dataclasses.replace(rs[1], image_id="wide")] for c, rs in supports[1].instances.items()
+        })
+        draws = [supports[0], wide]
+        params = init_params(cfg, seed=0).nodes()
+        want = per_draw_precompute(index, draws, cfg, params)
+        pooled, pool = [], prototypes.roi_vector
+
+        def counting_pool(feat, boxes, *rest):
+            pooled.append(np.shape(feat))
+            return pool(feat, boxes, *rest)
+
+        monkeypatch.setattr(training, "roi_vector", counting_pool)
+        monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
+        got = precompute_prototypes(index, draws, cfg, params)
+        records = {g for s in draws for rs in s.instances.values() for g in rs}
+        n_wide = sum(g.image_id == "wide" for g in records)
+        assert n_wide == 2
+        assert sorted(pooled) == sorted([(n_wide, 4, 4, 8), (len(records) - n_wide, 4, 4, 4)])
+        assert np.array_equal(got.values, want.values) and got.class_ids == want.class_ids
+
+
+def add_wide_pair(index, root):
+    """Add image "wide": the first pair's maps tiled twice along the width,
+    with that pair's boxes."""
+    entry = index.entries[sorted(index.entries)[0]]
+    paths = []
+    for name, m in zip(("rgb", "ir"), index.load_pair(entry.image_id)):
+        paths.append(root / f"wide_{name}.fmp")
+        fmp.write_map(paths[-1], np.tile(m, (1, 1, 2)))
+    index.add(dataclasses.replace(entry, image_id="wide", rgb_path=paths[0], ir_path=paths[1]))
