@@ -11,6 +11,10 @@ from .errors import PreconditionError
 from .neighborhood import NAConfig
 from .prototypes import GATE_MODES, init_cam_params
 
+# Most RoIAlign samples per box side, roi_out * roi_sampling; a box's
+# sample grid is its square, and a large one asks for arrays past memory.
+ROI_SIDE_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -41,6 +45,11 @@ class ModelConfig:
             raise PreconditionError(f"unknown gate mode {self.gate_mode!r}")
         if self.alpha <= 0:
             raise PreconditionError("cosine logit scale must be positive")
+        for key in ("roi_out", "roi_sampling"):
+            if getattr(self, key) < 1:
+                raise PreconditionError(f"model.{key} {getattr(self, key)} must be positive")
+        if self.roi_out * self.roi_sampling > ROI_SIDE_SAMPLES:
+            raise PreconditionError(f"model.roi_out * model.roi_sampling must be at most {ROI_SIDE_SAMPLES}")
         if not 0 <= self.score_thr <= 1:
             raise PreconditionError(f"score threshold {self.score_thr} outside [0, 1]")
 

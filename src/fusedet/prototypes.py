@@ -18,7 +18,7 @@ from . import fmp, ops
 from .autodiff import Node, ParamStore, as_node
 from .deformable import normalize_coords
 from .errors import NumericGuardError, PreconditionError, ShapeError
-from .evaluation import Box
+from .evaluation import Box, GroundTruth
 
 
 @dataclass
@@ -57,22 +57,22 @@ def task_encodings(c: int, d: int) -> np.ndarray:
     return t
 
 
-def roi_align(x, box: Box | Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
-    """Pool a box, which must lie inside the map, to an (D, out, out) grid.
+def roi_align(x, boxes: Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
+    """Pool box b, which must lie inside its map, on element b of a
+    (B, D, H, W) batch to a (D, out, out) grid: (B, D, out, out) in all,
+    from one bilinear_sample over every box's samples.
 
-    A (B, D, H, W) batch takes a sequence of B boxes and pools box b on
-    element b, to (B, D, out, out), with one bilinear_sample over every
-    box's samples.  Each bin averages sampling x sampling bilinear reads
-    at regular sub-bin centers; continuous box coords shift by -0.5 onto
-    the pixel lattice, and samples clamp to the border (a box flush with
-    the map edge reads border values, not padding).
+    Each bin averages sampling x sampling bilinear reads at regular
+    sub-bin centers; continuous box coords shift by -0.5 onto the pixel
+    lattice, and samples clamp to the border (a box flush with the map
+    edge reads border values, not padding).
     """
     x = as_node(x)
-    if x.value.ndim not in (3, 4):
-        raise ShapeError(f"feature map must be (D, H, W) or (B, D, H, W), got {x.value.shape}")
-    *lead, d, h, w = x.value.shape
-    boxes = (box,) if isinstance(box, Box) else tuple(box)
-    if len(boxes) != (lead[0] if lead else 1):
+    if x.value.ndim != 4:
+        raise ShapeError(f"feature maps must be (B, D, H, W), got {x.value.shape}")
+    n, d, h, w = x.value.shape
+    boxes = tuple(boxes)
+    if len(boxes) != n:
         raise ShapeError(f"{len(boxes)} boxes for feature maps shaped {x.value.shape}")
     for b in boxes:
         b.require_within(h, w)
@@ -86,46 +86,62 @@ def roi_align(x, box: Box | Sequence[Box], out: int = 7, sampling: int = 2) -> N
     steps = np.arange(out)[:, None] + (np.arange(sampling) + 0.5) / sampling
     py = np.clip(y1 + steps * ((y2 - y1) / out) - 0.5, 0.0, h - 1.0)
     px = np.clip(x1 + steps * ((x2 - x1) / out) - 0.5, 0.0, w - 1.0)
-    grid = (len(boxes), out, out, sampling, sampling)
-    py = np.broadcast_to(py[:, :, None, :, None], grid).reshape(len(boxes), -1)
-    px = np.broadcast_to(px[:, None, :, None, :], grid).reshape(len(boxes), -1)
-    coords = normalize_coords(px, py, h, w)  # (boxes, 2, N)
-    sampled = ops.bilinear_sample(x, coords if lead else coords[0])
-    return sampled.reshape((*lead, d, out, out, sampling * sampling)).mean(axis=-1)
+    grid = (n, out, out, sampling, sampling)
+    py = np.broadcast_to(py[:, :, None, :, None], grid).reshape(n, -1)
+    px = np.broadcast_to(px[:, None, :, None, :], grid).reshape(n, -1)
+    sampled = ops.bilinear_sample(x, normalize_coords(px, py, h, w))  # coords (B, 2, N)
+    return sampled.reshape((n, d, out, out, sampling * sampling)).mean(axis=-1)
 
 
-def roi_vector(x, box: Box | Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
-    """roi_align followed by global averaging: one D-vector per box, and
-    (B, D) for a batch."""
-    return roi_align(x, box, out, sampling).mean(axis=(-2, -1))
+def roi_vector(x, boxes: Sequence[Box], out: int = 7, sampling: int = 2) -> Node:
+    """roi_align followed by global averaging: (B, D), one D-vector per box."""
+    return roi_align(x, boxes, out, sampling).mean(axis=(-2, -1))
 
 
-def extract_prototypes(
-    supports, classes, out: int = 7, sampling: int = 2, pooled: Mapping | None = None
-) -> PrototypeSet:
-    """Build one prototype per class from (feature_map, [GroundTruth]) pairs.
+def group_by_image(instances, classes) -> dict[str, list[GroundTruth]]:
+    """Support records grouped by image, images in order of first use when
+    `classes` are walked in order, as `Episode.support` and
+    `SupportSet.instances` map each class to its records."""
+    grouped: dict[str, list[GroundTruth]] = {}
+    for c in classes:
+        for record in instances[c]:
+            grouped.setdefault(record.image_id, []).append(record)
+    return grouped
 
-    Row order follows `classes`; every listed class needs at least one box.
-    `pooled` optionally maps records to their roi_vector on their map,
-    already computed; those records are not pooled again.
-    """
+
+def pool_supports(maps: Mapping[str, Node], records, out: int, sampling: int) -> dict[GroundTruth, Node]:
+    """The roi_vector of each distinct record on its image's (D, H, W) map
+    in `maps`, by image id: one roi_vector call per map shape, on a batch
+    of one map per record, in the given record order.  Records given in
+    group_by_image order make each map's gradient add its records' parts
+    as pooling them one call each, in extract_prototypes' order, did."""
+    by_shape: dict[tuple[int, ...], list[GroundTruth]] = {}
+    for r in dict.fromkeys(records):
+        by_shape.setdefault(maps[r.image_id].shape, []).append(r)
+    vectors = {}
+    for shape, group in by_shape.items():
+        batch = ops.concat([maps[r.image_id].reshape((1, *shape)) for r in group], axis=0)
+        vectors.update(zip(group, ops.unstack(roi_vector(batch, [r.box for r in group], out, sampling))))
+    return vectors
+
+
+def extract_prototypes(vectors: Mapping[GroundTruth, Node], instances, classes) -> PrototypeSet:
+    """One prototype per class, rows in `classes` order: the mean of the
+    `vectors` (from pool_supports) of its records, `instances` mapping each
+    class to its records.  Every listed class needs a record.  A class
+    mean adds its records image by image, images in group_by_image order."""
     classes = tuple(int(c) for c in classes)
-    pooled = pooled or {}
-    per_class: dict[int, list[Node]] = {c: [] for c in classes}
-    for feat, records in supports:
-        for record in records:
-            if record.class_id in per_class:
-                vec = pooled[record] if record in pooled else roi_vector(feat, record.box, out, sampling)
-                per_class[record.class_id].append(vec)
+    for c in classes:
+        if not instances.get(c):
+            raise PreconditionError(f"class {c} has no support boxes")
+    rank = {image_id: i for i, image_id in enumerate(group_by_image(instances, classes))}
     rows = []
     for c in classes:
-        vecs = per_class[c]
-        if not vecs:
-            raise PreconditionError(f"class {c} has no support boxes")
-        total = vecs[0]
-        for v in vecs[1:]:
-            total = total + v
-        rows.append(total * (1.0 / len(vecs)))
+        records = sorted(instances[c], key=lambda r: rank[r.image_id])
+        total = vectors[records[0]]
+        for r in records[1:]:
+            total = total + vectors[r]
+        rows.append(total * (1.0 / len(records)))
     d = rows[0].value.shape[0]
     s = ops.concat([v.reshape((1, d)) for v in rows], axis=0)
     return PrototypeSet(s=s, t=task_encodings(len(classes), d), class_ids=classes)

@@ -11,7 +11,6 @@ and hides behind this one module.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,15 @@ from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
 from .errors import DivergenceError, NumericGuardError, PreconditionError
 from .evaluation import Box, Detection, GroundTruth, iou_row
 from .model import ModelConfig, init_params, query_features
-from .prototypes import PrototypeSet, average_prototypes, cam_forward, cosine_ce_loss, extract_prototypes, roi_vector
+from .prototypes import (
+    PrototypeSet,
+    average_prototypes,
+    cam_forward,
+    cosine_ce_loss,
+    extract_prototypes,
+    group_by_image,
+    pool_supports,
+)
 
 
 @dataclass(frozen=True)
@@ -86,17 +93,6 @@ def center_cell(box: Box, h: int, w: int) -> tuple[int, int]:
     return min(int((box.y1 + box.y2) / 2.0), h - 1), min(int((box.x1 + box.x2) / 2.0), w - 1)
 
 
-def group_by_image(instances: dict[int, list[GroundTruth]], classes) -> dict[str, list[GroundTruth]]:
-    """Support records grouped by image, images in order of first use when
-    `classes` are walked in order, as `Episode.support` and
-    `SupportSet.instances` map each class to its records."""
-    grouped: dict[str, list[GroundTruth]] = {}
-    for c in classes:
-        for record in instances[c]:
-            grouped.setdefault(record.image_id, []).append(record)
-    return grouped
-
-
 def fuse_images(index: DatasetIndex, image_ids, cfg: ModelConfig, params: dict[str, Node]) -> list[Node]:
     """The query map of each image's pair, in order, from one batched
     fusion; images whose maps differ in shape are fused one by one."""
@@ -105,25 +101,6 @@ def fuse_images(index: DatasetIndex, image_ids, cfg: ModelConfig, params: dict[s
         return [query_features(rgb, ir, cfg, params) for rgb, ir in pairs]
     rgb, ir = (np.stack(maps) for maps in zip(*pairs))
     return ops.unstack(query_features(rgb, ir, cfg, params))
-
-
-def support_prototypes(
-    maps: Mapping[str, Node],
-    instances: dict[int, list[GroundTruth]],
-    classes,
-    cfg: ModelConfig,
-    pooled: Mapping[GroundTruth, Node] | None = None,
-) -> PrototypeSet:
-    """One prototype per class, rows in `classes` order.
-
-    `maps` holds the fused map of each support image by image id, and
-    `instances` maps each class to its support records, as
-    `Episode.support` and `SupportSet.instances` do.  Records in `pooled`
-    reuse the vector pooled there.  Each class mean adds its records'
-    vectors image by image, images in order of first use.
-    """
-    supports = ((maps[image_id], records) for image_id, records in group_by_image(instances, classes).items())
-    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling, pooled=pooled)
 
 
 def train_loss(
@@ -140,9 +117,11 @@ def train_loss(
     query last, so every fusion parameter's gradient sums its per-image
     parts in the order separate per-image graphs would give.
     """
-    support_ids = list(group_by_image(episode.support, episode.slots))
-    *support_maps, f_q = fuse_images(index, [*support_ids, episode.query_id], cfg, params)
-    protos = support_prototypes(dict(zip(support_ids, support_maps)), episode.support, episode.slots, cfg)
+    grouped = group_by_image(episode.support, episode.slots)
+    *support_maps, f_q = fuse_images(index, [*grouped, episode.query_id], cfg, params)
+    records = [r for rs in grouped.values() for r in rs]
+    vectors = pool_supports(dict(zip(grouped, support_maps)), records, cfg.roi_out, cfg.roi_sampling)
+    protos = extract_prototypes(vectors, episode.support, episode.slots)
     meta = cosine_ce_loss(protos.s, params["meta.class_weights"], list(episode.slots), cfg.alpha)
 
     f_cam = cam_forward(f_q, protos, params, gate_mode=cfg.gate_mode)
@@ -273,27 +252,17 @@ def precompute_prototypes(
     inference-time prototype table.
 
     Value-only.  The distinct support images of all draws are fused in one
-    batch, in image id order, and the distinct support records are pooled
-    in one roi_vector call per map shape, each record on its own image's
-    map; every draw then takes its class means over those vectors.  A
-    batch element and a pooled vector equal their lone computation bit for
-    bit, so the table equals one built draw by draw.
+    batch, in image id order, and pool_supports pools each distinct support
+    record once; every draw then takes its class means over those vectors.
+    A batch element and a vector equal their lone computation bit for bit,
+    so the table equals one built draw by draw.
     """
-    records = dict.fromkeys(r for sset in support_sets for rs in sset.instances.values() for r in rs)
+    records = [r for sset in support_sets for rs in sset.instances.values() for r in rs]
     image_ids = sorted({r.image_id for r in records})
     with no_grad():
         maps = dict(zip(image_ids, fuse_images(index, image_ids, cfg, params)))
-        by_shape: dict[tuple[int, ...], list[GroundTruth]] = {}
-        for r in records:
-            by_shape.setdefault(maps[r.image_id].value.shape, []).append(r)
-        pooled = {}
-        for group in by_shape.values():
-            batch = np.stack([maps[r.image_id].value for r in group])
-            vectors = roi_vector(batch, [r.box for r in group], cfg.roi_out, cfg.roi_sampling)
-            pooled.update(zip(group, ops.unstack(vectors)))
-        per_seed = [
-            support_prototypes(maps, sset.instances, sorted(sset.instances), cfg, pooled) for sset in support_sets
-        ]
+        vectors = pool_supports(maps, records, cfg.roi_out, cfg.roi_sampling)
+        per_seed = [extract_prototypes(vectors, sset.instances, sorted(sset.instances)) for sset in support_sets]
     return average_prototypes(per_seed)
 
 

@@ -2,26 +2,32 @@
 
 One test per criterion, numbered; each prints a single PASS line with the
 measured quantity (visible with -s, or in the -v result listing by name).
+Criterion 08's geometry also pins the graph size of a step and an inference.
 """
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fusedet.audit import AUDIT_CASES, CHECKS, GRAD_TOL, zero_grad_keys
-from fusedet.autodiff import grad_check, min_abs_grad
+from fusedet import ops
+from fusedet.autodiff import Node, backward, grad_check, min_abs_grad
 from fusedet.cli import main
+from fusedet.config import build_section, build_split, parse_config_text
 from fusedet.data import SplitSpec, build_supports, sample_episode
 from fusedet.evaluation import nap50, read_detections
-from fusedet.model import ModelConfig
+from fusedet.model import ModelConfig, init_params
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
     TrainConfig,
     ablate_thermal,
     detect_over,
     gts_of,
+    infer,
     precompute_prototypes,
     run_training,
+    train_loss,
 )
 
 
@@ -268,6 +274,50 @@ def test_criterion_08_determinism(tmp_path, capsys):
     files["detections"] = dets_a
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == PINNED_SHA256
+
+
+# Node constructions and ops calls, counted test-side, of one seeded
+# training step (train_loss, then backward) and of one inference at
+# criterion 08's geometry.  Unlike times they do not depend on the host; a
+# change that moves them states the old and new figures.
+GRAPH_COUNTS = {"train_step": (222, 92), "infer": (152, 80)}
+
+
+def test_graph_and_op_counts_at_criterion_08_geometry(tmp_path, monkeypatch):
+    kv = parse_config_text(CFG_DETERMINISM)
+    cfg, tcfg = build_section(ModelConfig, "model", kv), build_section(TrainConfig, "train", kv)
+    split = build_split(kv)
+    index = generate_synthetic(tmp_path / "data", build_section(SynthConfig, "synth", kv), seed=tcfg.seed)
+    params = init_params(cfg, seed=tcfg.seed).nodes()
+    rng = np.random.default_rng((tcfg.seed, 101))  # run_training's first episode
+    episode = sample_episode(index, split, "base", rng, t_max=cfg.t_max, shots_per_slot=tcfg.shots_per_step)
+    supports = build_supports(index, split, tcfg.k, n_seeds=tcfg.n_support_seeds, master_seed=tcfg.seed)
+    protos = precompute_prototypes(index, supports, cfg, params)
+    image_id = sorted(index.entries)[0]
+
+    counts = Counter()
+    node_init = Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["nodes"] += 1
+        node_init(self, *args, **kwargs)
+
+    def counting(fn):
+        def op(*args, **kwargs):
+            counts["ops"] += 1
+            return fn(*args, **kwargs)
+
+        return op
+
+    monkeypatch.setattr(Node, "__init__", counting_init)
+    for name, fn in list(vars(ops).items()):
+        if callable(fn) and getattr(fn, "__module__", None) == ops.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(ops, name, counting(fn))
+    backward(train_loss(episode, index, cfg, tcfg, params))
+    step = (counts["nodes"], counts["ops"])
+    counts.clear()
+    infer(*index.load_pair(image_id), protos, cfg, params, image_id)
+    assert {"train_step": step, "infer": (counts["nodes"], counts["ops"])} == GRAPH_COUNTS
 
 
 def test_criterion_09_fusion_mode_plumbing(tmp_path, capsys):

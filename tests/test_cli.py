@@ -800,6 +800,19 @@ class TestExitCodes:
         assert code == 2 and f"{key}: cannot read {value!r} as a finite float" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("value", [0, -1, 1000000])
+    @pytest.mark.parametrize("key", ["model.roi_out", "model.roi_sampling"])
+    def test_roi_grid_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        """A side of a million RoIAlign samples per box would ask for a
+        sample grid far past memory; it is refused with the config."""
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "gen", "--out", "data", "--seed", "0", "--config", write_cfg(tmp_path))[0] == 0
+        kept = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} ")]
+        (tmp_path / "roi.cfg").write_text("\n".join([*kept, f"{key} = {value}", ""]))
+        code, _, err = run(capsys, "train", "--data", "data/index.txt", "--out", "run", "--config", "roi.cfg")
+        assert code == 2 and key in err
+        assert not (tmp_path / "run").exists()
+
     # the blobs of one class overlap, and their sum overflows to inf
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_gen_with_overflowing_maps_exits_3(self, tmp_path, capsys):

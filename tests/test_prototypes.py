@@ -17,6 +17,7 @@ from fusedet.prototypes import (
     extract_prototypes,
     init_cam_params,
     load_prototypes,
+    pool_supports,
     roi_align,
     roi_vector,
     save_prototypes,
@@ -66,35 +67,35 @@ def roi_align_loop_grid(x, box: Box, out: int, sampling: int):
     return sampled.reshape((d, out, out, sampling * sampling)).mean(axis=3)
 
 
-def record(x1, y1, x2, y2, class_id):
-    return GroundTruth(Box(x1, y1, x2, y2), class_id, "a")
+def record(x1, y1, x2, y2, class_id, image_id="a"):
+    return GroundTruth(Box(x1, y1, x2, y2), class_id, image_id)
 
 
 class TestRoiAlign:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(PreconditionError, match="exceeds map extent"):
-            roi_align(np.zeros((1, 8, 8)), Box(0.0, 0.0, 9.0, 3.0))
+            roi_align(np.zeros((1, 1, 8, 8)), [Box(0.0, 0.0, 9.0, 3.0)])
 
     def test_box_flush_with_map_edge_passes(self):
-        out = roi_align(np.full((1, 8, 8), 2.0), Box(0.0, 0.0, 8.0, 8.0), out=2, sampling=1)
-        assert np.array_equal(out.value, np.full((1, 2, 2), 2.0))
+        out = roi_align(np.full((1, 1, 8, 8), 2.0), [Box(0.0, 0.0, 8.0, 8.0)], out=2, sampling=1)
+        assert np.array_equal(out.value, np.full((1, 1, 2, 2), 2.0))
 
     def test_constant_map_gives_constant_output(self):
         x = np.full((3, 6, 6), 2.5)
-        out = roi_align(x, Box(0.7, 1.3, 5.2, 4.9), out=3, sampling=2)
+        out = roi_align(x[None], [Box(0.7, 1.3, 5.2, 4.9)], out=3, sampling=2)
         assert np.allclose(out.value, 2.5, atol=1e-12)
 
     def test_single_pixel_box_reads_that_pixel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, 5))
-        out = roi_align(x, Box(1.0, 1.0, 2.0, 2.0), out=1, sampling=1)
-        assert np.allclose(out.value[:, 0, 0], x[:, 1, 1], atol=1e-12)
+        out = roi_align(x[None], [Box(1.0, 1.0, 2.0, 2.0)], out=1, sampling=1)
+        assert np.allclose(out.value[0, :, 0, 0], x[:, 1, 1], atol=1e-12)
 
     def test_matches_sample_and_average_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 8, 8))
         box = Box(1.0, 1.0, 5.0, 7.0)
-        got = roi_align(x, box, out=2, sampling=2).value
+        got = roi_align(x[None], [box], out=2, sampling=2).value[0]
         want = roi_align_oracle(x, box, out=2, sampling=2)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -102,7 +103,7 @@ class TestRoiAlign:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 9, 7))
         box = Box(0.5, 2.0, 6.5, 8.5)
-        got = roi_align(x, box, out=3, sampling=3).value
+        got = roi_align(x[None], [box], out=3, sampling=3).value[0]
         want = roi_align_oracle(x, box, out=3, sampling=3)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -114,21 +115,21 @@ class TestRoiAlign:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 6, 7))
         probe = rng.standard_normal((3, out, out))
-        got_x, want_x = as_node(x), as_node(x)
-        got = roi_align(got_x, box, out=out, sampling=sampling)
+        got_x, want_x = as_node(x[None]), as_node(x)
+        got = roi_align(got_x, [box], out=out, sampling=sampling)
         want = roi_align_loop_grid(want_x, box, out, sampling)
-        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.value[0], want.value)
         backward((got * probe).sum())
         backward((want * probe).sum())
-        assert np.array_equal(got_x.grad, want_x.grad)
+        assert np.array_equal(got_x.grad[0], want_x.grad)
 
     def test_roi_vector_is_global_average(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 8, 8))
         box = Box(1.0, 1.0, 6.0, 6.0)
-        grid = roi_align(x, box, out=4, sampling=2).value
-        vec = roi_vector(x, box, out=4, sampling=2).value
-        assert np.allclose(vec, grid.mean(axis=(1, 2)), atol=1e-12)
+        grid = roi_align(x[None], [box], out=4, sampling=2).value
+        vec = roi_vector(x[None], [box], out=4, sampling=2).value
+        assert np.allclose(vec, grid.mean(axis=(2, 3)), atol=1e-12)
 
 
 # (name, maps, boxes): box b of each case pools on map b.  The (2, 6, 9)
@@ -143,7 +144,7 @@ BATCH_CASES = [
 
 
 class TestBatchedRoiAlign:
-    """A (B, D, H, W) batch with B boxes against one 3-d call per box."""
+    """A (B, D, H, W) batch with B boxes against one call per box."""
 
     @pytest.mark.parametrize("out, sampling", [(2, 1), (7, 2), (3, 3)])
     @pytest.mark.parametrize("maps, boxes", [c[1:] for c in BATCH_CASES], ids=[c[0] for c in BATCH_CASES])
@@ -153,42 +154,68 @@ class TestBatchedRoiAlign:
         batch = as_node(np.stack(maps))
         probe = np.random.default_rng(9).standard_normal((len(boxes), maps[0].shape[0], out, out))
         got = roi_align(batch, boxes, out=out, sampling=sampling)
-        lone = [as_node(m) for m in maps]
-        want = [roi_align(m, box, out=out, sampling=sampling) for m, box in zip(lone, boxes)]
-        assert np.array_equal(got.value, np.stack([w.value for w in want]))
+        lone = [as_node(m[None]) for m in maps]
+        want = [roi_align(m, [box], out=out, sampling=sampling) for m, box in zip(lone, boxes)]
+        assert np.array_equal(got.value, np.concatenate([w.value for w in want]))
         vectors = roi_vector(batch.value, boxes, out=out, sampling=sampling).value
         for vec, m, box in zip(vectors, maps, boxes):
-            assert np.array_equal(vec, roi_vector(m, box, out=out, sampling=sampling).value)
+            assert np.array_equal(vec, roi_vector(m[None], [box], out=out, sampling=sampling).value[0])
         backward((got * probe).sum())
         for w, m, p, g in zip(want, lone, probe, batch.grad):
             backward((w * p).sum())
-            assert np.array_equal(g, m.grad)
+            assert np.array_equal(g, m.grad[0])
 
     def test_box_count_must_match_batch(self):
         with pytest.raises(ShapeError, match="3 boxes"):
             roi_align(np.zeros((2, 1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)] * 3)
         with pytest.raises(ShapeError, match="1 boxes"):
-            roi_vector(np.zeros((2, 1, 6, 6)), Box(0.0, 0.0, 2.0, 2.0))
+            roi_vector(np.zeros((2, 1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)])
         with pytest.raises(ShapeError, match="2 boxes"):
-            roi_align(np.zeros((1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)] * 2)
+            roi_align(np.zeros((1, 1, 6, 6)), [Box(0.0, 0.0, 2.0, 2.0)] * 2)
 
     def test_box_outside_its_map_is_named(self):
         bad = Box(1.0, 1.0, 7.5, 3.0)
         with pytest.raises(PreconditionError, match=re.escape(f"box {bad} exceeds map extent (6, 7)")):
             roi_align(np.zeros((2, 1, 6, 7)), [Box(0.0, 0.0, 7.0, 6.0), bad])
 
-    @pytest.mark.parametrize("shape", [(6, 6), (1, 2, 1, 6, 6)])
+    @pytest.mark.parametrize("shape", [(6, 6), (1, 2, 1, 6, 6), (1, 6, 6)])
     def test_map_rank_checked(self, shape):
+        """Only a (B, D, H, W) batch is taken, not a lone (D, H, W) map."""
         boxes = [Box(0.0, 0.0, 2.0, 2.0)] * (shape[0] if len(shape) == 5 else 1)
         with pytest.raises(ShapeError, match="feature map"):
             roi_align(np.zeros(shape), boxes)
 
 
+def pooled_prototypes(maps, instances, classes):
+    """extract_prototypes over every record pooled by pool_supports, on
+    maps by image id, at roi_align's default grid."""
+    records = [r for rs in instances.values() for r in rs]
+    return extract_prototypes(pool_supports(maps, records, 7, 2), instances, classes)
+
+
+def lone_vector(x, box, out=7, sampling=2):
+    return roi_vector(x[None], [box], out=out, sampling=sampling).value[0]
+
+
+class TestPoolSupports:
+    def test_equals_per_record_calls(self):
+        """Records on maps of two shapes, two on one map, one listed
+        twice: each distinct record's vector, bit for bit."""
+        rng = np.random.default_rng(10)
+        maps = {"a": rng.standard_normal((2, 6, 6)), "b": rng.standard_normal((2, 6, 9)),
+                "c": rng.standard_normal((2, 6, 6))}
+        records = [record(0.5, 1.0, 4.0, 5.5, 0, "a"), record(2.0, 0.0, 9.0, 6.0, 1, "b"),
+                   record(1.0, 1.0, 6.0, 6.0, 1, "a"), record(0.0, 2.0, 3.5, 4.0, 0, "c")]
+        pooled = pool_supports({k: as_node(m) for k, m in maps.items()}, records + records[:1], 3, 2)
+        assert pooled.keys() == set(records)
+        for r in records:
+            assert np.array_equal(pooled[r].value, lone_vector(maps[r.image_id], r.box, 3, 2))
+
+
 class TestExtractPrototypes:
     def test_constant_map_prototype(self):
         x = np.full((4, 6, 6), 3.0)
-        supports = [(x, [record(1.0, 1.0, 4.0, 4.0, class_id=7)])]
-        protos = extract_prototypes(supports, [7])
+        protos = pooled_prototypes({"a": as_node(x)}, {7: [record(1.0, 1.0, 4.0, 4.0, class_id=7)]}, [7])
         assert protos.class_ids == (7,)
         assert np.allclose(protos.values, 3.0, atol=1e-12)
 
@@ -197,25 +224,23 @@ class TestExtractPrototypes:
         x = rng.standard_normal((2, 8, 8))
         b1 = record(0.0, 0.0, 4.0, 4.0, class_id=0)
         b2 = record(3.0, 3.0, 8.0, 8.0, class_id=0)
-        protos = extract_prototypes([(x, [b1, b2])], [0])
-        v1, v2 = roi_vector(x, b1.box).value, roi_vector(x, b2.box).value
+        protos = pooled_prototypes({"a": as_node(x)}, {0: [b1, b2]}, [0])
+        v1, v2 = lone_vector(x, b1.box), lone_vector(x, b2.box)
         assert np.allclose(protos.values[0], (v1 + v2) / 2.0, atol=1e-12)
 
     def test_matches_brute_force_over_classes(self):
         rng = np.random.default_rng(5)
-        maps = [rng.standard_normal((4, 8, 8)) for _ in range(3)]
-        supports = []
+        maps = {image_id: rng.standard_normal((4, 8, 8)) for image_id in "abc"}
+        instances: dict[int, list[GroundTruth]] = {0: [], 1: [], 2: []}
         per_class: dict[int, list[np.ndarray]] = {0: [], 1: [], 2: []}
-        for m in maps:
-            boxes = []
+        for image_id, m in maps.items():
             for c in range(3):
                 x1, y1 = rng.uniform(0, 3, size=2)
                 bw, bh = rng.uniform(2, 4, size=2)
                 box = Box(float(x1), float(y1), float(min(x1 + bw, 8.0)), float(min(y1 + bh, 8.0)))
-                boxes.append(GroundTruth(box, c, "a"))
-                per_class[c].append(roi_vector(m, box).value)
-            supports.append((m, boxes))
-        protos = extract_prototypes(supports, [0, 1, 2])
+                instances[c].append(GroundTruth(box, c, image_id))
+                per_class[c].append(lone_vector(m, box))
+        protos = pooled_prototypes({k: as_node(m) for k, m in maps.items()}, instances, [0, 1, 2])
         for c in range(3):
             want = np.mean(per_class[c], axis=0)
             assert np.allclose(protos.values[c], want, atol=1e-12)
@@ -225,15 +250,28 @@ class TestExtractPrototypes:
         x = rng.standard_normal((2, 8, 8))
         b1 = record(0.0, 0.0, 3.0, 3.0, class_id=0)
         b2 = record(4.0, 4.0, 8.0, 8.0, class_id=0)
-        p_ab = extract_prototypes([(x, [b1, b2])], [0])
-        p_ba = extract_prototypes([(x, [b2, b1])], [0])
+        p_ab = pooled_prototypes({"a": as_node(x)}, {0: [b1, b2]}, [0])
+        p_ba = pooled_prototypes({"a": as_node(x)}, {0: [b2, b1]}, [0])
         assert np.allclose(p_ab.values, p_ba.values, atol=1e-12)
+
+    def test_class_mean_adds_image_by_image(self):
+        """Class 0 lists records on images b, b, a; image a is used first
+        (by class 1), so its record is added first, then b's in order."""
+        rng = np.random.default_rng(11)
+        v = {r: as_node(rng.standard_normal(4)) for r in "ab12"}
+        a, b1, b2 = record(0, 0, 1, 1, 0, "a"), record(0, 0, 1, 1, 0, "b"), record(0, 0, 2, 2, 0, "b")
+        first = record(0, 0, 2, 2, 1, "a")
+        vectors = {a: v["a"], b1: v["1"], b2: v["2"], first: v["b"]}
+        protos = extract_prototypes(vectors, {1: [first], 0: [b1, b2, a]}, [1, 0])
+        want = (v["a"].value + v["1"].value + v["2"].value) * (1.0 / 3)
+        listed = (v["1"].value + v["2"].value + v["a"].value) * (1.0 / 3)
+        assert np.array_equal(protos.values[1], want) and not np.array_equal(want, listed)
+        assert np.array_equal(protos.values[0], v["b"].value)
 
     def test_missing_class_is_named(self):
         x = np.zeros((2, 4, 4))
-        supports = [(x, [record(0.0, 0.0, 2.0, 2.0, class_id=0)])]
         with pytest.raises(PreconditionError, match="class 3"):
-            extract_prototypes(supports, [0, 3])
+            pooled_prototypes({"a": as_node(x)}, {0: [record(0.0, 0.0, 2.0, 2.0, class_id=0)]}, [0, 3])
 
 
 class TestTaskEncodings:

@@ -6,11 +6,18 @@ import pytest
 
 from fusedet import fmp, ops, prototypes, training
 from fusedet.autodiff import as_node, backward
-from fusedet.data import SplitSpec, SupportSet, build_supports, sample_episode
+from fusedet.data import Episode, SplitSpec, SupportSet, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
-from fusedet.evaluation import Box, Detection
+from fusedet.evaluation import Box, Detection, GroundTruth
 from fusedet.model import ModelConfig, init_params, query_features
-from fusedet.prototypes import PrototypeSet, average_prototypes, cam_forward, extract_prototypes, task_encodings
+from fusedet.prototypes import (
+    PrototypeSet,
+    average_prototypes,
+    cam_forward,
+    extract_prototypes,
+    pool_supports,
+    task_encodings,
+)
 from fusedet.synth import SynthConfig, generate_synthetic
 from fusedet.training import (
     NMS_BLOCK,
@@ -23,7 +30,6 @@ from fusedet.training import (
     precompute_prototypes,
     run_training,
     toy_head,
-    support_prototypes,
     train_loss,
 )
 
@@ -605,11 +611,10 @@ class TestInference:
             return features(rgb, ir, *rest)
 
         def counting_pool(feat, boxes, *rest):
-            pooled.append((np.shape(feat), list(boxes)))
+            pooled.append((feat.shape, list(boxes)))
             return pool(feat, boxes, *rest)
 
         monkeypatch.setattr(training, "query_features", counting)
-        monkeypatch.setattr(training, "roi_vector", counting_pool)
         monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
         precompute_prototypes(index, supports, cfg, init_params(cfg, seed=0).nodes())
         assert fused == [(len(distinct), 4, 4, 4)]
@@ -630,7 +635,8 @@ class TestInference:
         instances = {0: [record], 1: [dataclasses.replace(record, class_id=1)]}
         params = init_params(cfg, seed=0).nodes()
         maps = dict(zip([record.image_id], training.fuse_images(index, [record.image_id], cfg, params)))
-        protos = support_prototypes(maps, instances, (0, 1), cfg)
+        vectors = pool_supports(maps, [record, *instances[1]], cfg.roi_out, cfg.roi_sampling)
+        protos = extract_prototypes(vectors, instances, (0, 1))
         assert protos.class_ids == (0, 1)
         assert np.array_equal(protos.values[0], protos.values[1])
 
@@ -689,6 +695,39 @@ def graph_mode_infer(rgb, ir, protos, cfg, params, image_id):
     return toy_head(f_cam, protos, params, cfg, image_id)
 
 
+# The per-box pooling that one batched pool_supports call replaced, kept as
+# its oracle: in graph mode, each record pooled on its own image's map by a
+# roi_vector call of its own, and each class mean added image by image.
+def per_box_prototypes(maps, instances, classes, out, sampling):
+    per_class = {c: [] for c in classes}
+    for image_id, records in training.group_by_image(instances, classes).items():
+        m = maps[image_id]
+        for record in records:
+            vec = prototypes.roi_vector(m.reshape((1, *m.shape)), [record.box], out, sampling)
+            per_class[record.class_id].append(vec.reshape(m.shape[:1]))
+    rows = []
+    for c in classes:
+        total = per_class[c][0]
+        for v in per_class[c][1:]:
+            total = total + v
+        rows.append(total * (1.0 / len(per_class[c])))
+    d = rows[0].shape[0]
+    s = ops.concat([v.reshape((1, d)) for v in rows], axis=0)
+    return PrototypeSet(s=s, t=task_encodings(len(classes), d), class_ids=classes)
+
+
+def per_box_train_loss(monkeypatch, *args):
+    """train_loss with its prototypes built by per_box_prototypes: the
+    pooling step hands its maps on, and the class means pool box by box."""
+    with monkeypatch.context() as m:
+        m.setattr(training, "pool_supports", lambda maps, records, out, sampling: (maps, out, sampling))
+        m.setattr(
+            training, "extract_prototypes",
+            lambda pooled, instances, classes: per_box_prototypes(pooled[0], instances, classes, *pooled[1:]),
+        )
+        return train_loss(*args)
+
+
 def per_draw_precompute(index, support_sets, cfg, params):
     """precompute_prototypes as it was before fuse-once and pool-once,
     kept as its oracle: in graph mode, each draw fuses its own images in
@@ -697,10 +736,8 @@ def per_draw_precompute(index, support_sets, cfg, params):
     for sset in support_sets:
         classes = sorted(sset.instances)
         grouped = training.group_by_image(sset.instances, classes)
-        maps = training.fuse_images(index, grouped, cfg, params)
-        per_seed.append(
-            extract_prototypes(zip(maps, grouped.values()), classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
-        )
+        maps = dict(zip(grouped, training.fuse_images(index, grouped, cfg, params)))
+        per_seed.append(per_box_prototypes(maps, sset.instances, classes, cfg.roi_out, cfg.roi_sampling))
     return average_prototypes(per_seed)
 
 
@@ -712,11 +749,8 @@ def oracle_support_prototypes(index, instances, classes, cfg, params):
     for c in classes:
         for record in instances[c]:
             grouped.setdefault(record.image_id, []).append(record)
-    supports = []
-    for image_id, records in grouped.items():
-        rgb, ir = index.load_pair(image_id)
-        supports.append((query_features(rgb, ir, cfg, params), records))
-    return extract_prototypes(supports, classes, out=cfg.roi_out, sampling=cfg.roi_sampling)
+    maps = {image_id: query_features(*index.load_pair(image_id), cfg, params) for image_id in grouped}
+    return per_box_prototypes(maps, instances, classes, cfg.roi_out, cfg.roi_sampling)
 
 
 def per_image_fusion(index, image_ids, cfg, params):
@@ -752,7 +786,22 @@ def batch_setup(tmp_path_factory):
 
 
 def batch_episode(index, supports, kind):
-    """The first episode of a seeded stream that is of the asked kind."""
+    """The first episode of a seeded stream that is of the asked kind, or,
+    for "crowded", an episode whose first support image holds four of its
+    six records, of all three classes, read at shared pixels, so the order
+    in which that map's gradient adds their parts shows in its bits.
+    Class 0 lists its record on the second image first, so its mean adds
+    its records out of listed order."""
+    if kind == "crowded":
+        x, y = sorted(index.entries)[:2]
+        query = sorted(index.entries)[2]
+        box, near = Box(1.0, 2.0, 7.5, 9.0), Box(1.5, 2.5, 8.0, 9.5)  # their samples share pixels
+        support = {
+            2: [GroundTruth(box, 2, x), GroundTruth(Box(2.0, 2.0, 10.0, 10.0), 2, y)],
+            0: [GroundTruth(Box(6.0, 3.0, 14.0, 12.5), 0, y), GroundTruth(near, 0, x), GroundTruth(box, 0, x)],
+            1: [GroundTruth(box, 1, x)],
+        }
+        return Episode(slots=(2, 0, 1), support=support, query_id=query, query_gts=list(index.entries[query].boxes))
     stage = "base" if kind == "base" else "finetune"
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -765,22 +814,60 @@ def batch_episode(index, supports, kind):
     raise AssertionError(f"no {kind} episode drawn")
 
 
+def assert_same_step(oracle, episode, setup, monkeypatch):
+    """train_loss and `oracle`, train_loss computed another way, give the
+    same loss and every parameter gradient bit for bit; returns the
+    parameter nodes of train_loss's step."""
+    index, _, store = setup
+    want_nodes, got_nodes = store.nodes(), store.nodes()
+    want = oracle(monkeypatch, episode, index, BATCH_MODEL, TrainConfig(), want_nodes)
+    got = train_loss(episode, index, BATCH_MODEL, TrainConfig(), got_nodes)
+    assert got.value == want.value
+    backward(want)
+    backward(got)
+    for key in store.keys():
+        w, g = want_nodes[key].grad, got_nodes[key].grad
+        assert (w is None) == (g is None), key
+        assert w is None or np.array_equal(w, g), key
+    return got_nodes
+
+
 class TestBatchedFusion:
     @pytest.mark.parametrize("kind", ["base", "finetune", "query-is-support"])
     def test_train_loss_equals_per_image_oracle(self, kind, batch_setup, monkeypatch):
-        index, supports, store = batch_setup
-        episode = batch_episode(index, supports, kind)
-        want_nodes, got_nodes = store.nodes(), store.nodes()
-        want = oracle_train_loss(monkeypatch, episode, index, BATCH_MODEL, TrainConfig(), want_nodes)
-        got = train_loss(episode, index, BATCH_MODEL, TrainConfig(), got_nodes)
-        assert got.value == want.value
-        backward(want)
-        backward(got)
-        for key in store.keys():
-            w, g = want_nodes[key].grad, got_nodes[key].grad
-            assert (w is None) == (g is None), key
-            assert w is None or np.array_equal(w, g), key
+        episode = batch_episode(*batch_setup[:2], kind)
+        got_nodes = assert_same_step(oracle_train_loss, episode, batch_setup, monkeypatch)
         assert np.any(got_nodes["cda_rgb.wu"].grad)  # the offset branch is live
+
+    @pytest.mark.parametrize("kind", ["base", "finetune", "query-is-support", "crowded"])
+    def test_train_loss_equals_per_box_oracle(self, kind, batch_setup, monkeypatch):
+        """One batched pooling call gives the loss and every parameter
+        gradient of pooling each support box on its own, bit for bit; on
+        the crowded episode four overlapping parts of one map's gradient
+        are added."""
+        assert_same_step(per_box_train_loss, batch_episode(*batch_setup[:2], kind), batch_setup, monkeypatch)
+
+    def test_train_loss_pools_once_per_map_shape(self, tmp_path, monkeypatch):
+        """Support records on 4x4 maps and on the 4x8 map: one pooling
+        call per map shape, each record once."""
+        index, _, cfg, _ = tiny_setup(tmp_path)
+        add_wide_pair(index, tmp_path)
+        first = sorted(index.entries)[0]
+        records = [*index.entries[first].boxes, GroundTruth(Box(0.5, 0.5, 3.5, 3.0), 1, "wide")]
+        records += [dataclasses.replace(g, image_id="wide") for g in index.entries[first].boxes]
+        support = {c: [g for g in records if g.class_id == c] for c in sorted({g.class_id for g in records})}
+        episode = Episode(tuple(support), support, first, list(index.entries[first].boxes))
+        pooled, pool = [], prototypes.roi_vector
+
+        def counting_pool(feat, boxes, *rest):
+            pooled.append((feat.shape, list(boxes)))
+            return pool(feat, boxes, *rest)
+
+        monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
+        train_loss(episode, index, cfg, TrainConfig(), init_params(cfg, seed=0).nodes())
+        n_wide = sum(g.image_id == "wide" for g in records)
+        assert sorted(shape for shape, _ in pooled) == sorted([(n_wide, 4, 4, 8), (len(records) - n_wide, 4, 4, 4)])
+        assert Counter(b for _, boxes in pooled for b in boxes) == Counter(g.box for g in records)
 
     def test_train_loss_fuses_once_per_step(self, batch_setup, monkeypatch):
         index, supports, store = batch_setup
@@ -803,9 +890,11 @@ class TestBatchedFusion:
         probe = np.random.default_rng(2).standard_normal((len(classes), 8))
         want_nodes, got_nodes = store.nodes(), store.nodes()
         want = oracle_support_prototypes(index, sset.instances, classes, BATCH_MODEL, want_nodes)
-        ids = list(training.group_by_image(sset.instances, classes))
-        maps = dict(zip(ids, training.fuse_images(index, ids, BATCH_MODEL, got_nodes)))
-        got = support_prototypes(maps, sset.instances, classes, BATCH_MODEL)
+        grouped = training.group_by_image(sset.instances, classes)
+        maps = dict(zip(grouped, training.fuse_images(index, grouped, BATCH_MODEL, got_nodes)))
+        records = [g for rs in grouped.values() for g in rs]
+        vectors = pool_supports(maps, records, BATCH_MODEL.roi_out, BATCH_MODEL.roi_sampling)
+        got = extract_prototypes(vectors, sset.instances, classes)
         assert np.array_equal(got.values, want.values) and got.class_ids == want.class_ids
         backward((want.s * probe).sum())
         backward((got.s * probe).sum())
@@ -854,10 +943,9 @@ class TestBatchedFusion:
         pooled, pool = [], prototypes.roi_vector
 
         def counting_pool(feat, boxes, *rest):
-            pooled.append(np.shape(feat))
+            pooled.append(feat.shape)
             return pool(feat, boxes, *rest)
 
-        monkeypatch.setattr(training, "roi_vector", counting_pool)
         monkeypatch.setattr(prototypes, "roi_vector", counting_pool)
         got = precompute_prototypes(index, draws, cfg, params)
         records = {g for s in draws for rs in s.instances.values() for g in rs}
