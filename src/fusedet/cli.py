@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import shutil
 import sys
 import tempfile
+import uuid
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +106,24 @@ def _require_split(split: SplitSpec | None) -> SplitSpec:
     return split
 
 
+def _move_into_place(staging: Path, out: Path) -> None:
+    """Make `staging`, a finished sibling directory, the directory `out`.
+
+    A new `out` is the renamed directory.  Into an existing one each file
+    moves by rename, after a check that no target is a directory, so no
+    write can fail midway; the other files of `out` stay.
+    """
+    if not out.exists():
+        staging.rename(out)
+        return
+    names = [p.name for p in staging.iterdir()]
+    for name in names:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name} is a directory")
+    for name in names:
+        os.replace(staging / name, out / name)
+
+
 def cmd_train(args) -> int:
     model, train, synth, split = _resolve(args)
     split = _require_split(split)
@@ -114,11 +135,17 @@ def cmd_train(args) -> int:
     store, log = run_training(index, split, model, train, supports[train.support_index])
     protos = precompute_prototypes(index, supports, model, store.nodes())
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    store.save(out / "params.pst")
-    save_prototypes(out / "protos.pst", protos)
-    (out / "log.txt").write_text("".join(f"{line}\n" for line in log))
+    out = Path(os.path.abspath(args.out))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = out.parent / f".{out.name}.{uuid.uuid4().hex}.partial"
+    staging.mkdir()
+    try:
+        store.save(staging / "params.pst")
+        save_prototypes(staging / "protos.pst", protos)
+        (staging / "log.txt").write_text("".join(f"{line}\n" for line in log))
+        _move_into_place(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     for line in log[-3:]:
         print(line)
     print(f"params checksum={_checksum(out / 'params.pst')}")

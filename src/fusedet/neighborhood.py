@@ -65,7 +65,7 @@ def init_na_params(store: ParamStore, prefix: str, channels: int) -> None:
 def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
     """Refine a (..., D, H, W) map by local-window attention; same output shape."""
     x = as_node(x)
-    *lead, d, h, w = x.value.shape
+    *_, d, h, w = x.value.shape
     if d != cfg.channels:
         raise ShapeError(f"map has {d} channels, config says {cfg.channels}")
     if cfg.k > min(h, w):
@@ -75,14 +75,11 @@ def na_forward(x, cfg: NAConfig, params: dict[str, Node], prefix: str) -> Node:
     key = ops.conv1x1(x, params[f"{prefix}.wk"])
     v = ops.conv1x1(x, params[f"{prefix}.wv"])
 
-    qf, kf, vf = ops.map_to_tokens(q), ops.map_to_tokens(key), ops.map_to_tokens(v)
-    table = neighbor_table(h, w, cfg.k)
-    kn = ops.take(kf, table)  # (..., HW, k*k, D)
-    vn = ops.take(vf, table)
-
-    scale = 1.0 / np.sqrt(d)
-    logits = (qf.reshape((*lead, h * w, 1, d)) * kn).sum(axis=-1) * scale
-    attn = ops.softmax(logits, axis=-1)
-    out = (attn.reshape((*lead, h * w, cfg.k * cfg.k, 1)) * vn).sum(axis=-2)
+    out = ops.window_attention(
+        ops.map_to_tokens(q),
+        ops.map_to_tokens(key),
+        ops.map_to_tokens(v),
+        neighbor_table(h, w, cfg.k),
+        1.0 / np.sqrt(d),
+    )
     return ops.tokens_to_map(out, h, w)
-

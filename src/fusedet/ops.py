@@ -13,13 +13,13 @@ Conventions, fixed once and relied on everywhere:
   inputs become constant leaves.
 
 Batches.  `matmul`, `conv1x1`, `depthwise_conv`, `layer_norm`,
-`bilinear_sample`, `take`, `map_to_tokens`, `tokens_to_map` and the
-elementwise ops (`relu`, `tanh`, `gelu`, ...) also take leading batch
-axes: maps (B, D, H, W), tokens (B, H*W, D), coordinates (B, 2, N), one
-sample per batch element.  `softmax` and `log_softmax` work on any axis;
-batched callers name it from the end (axis=-1).  Weights stay unbatched
-and shared.  A 3-D map is the same op with no batch axis, not a batch
-of one.
+`bilinear_sample`, `take`, `window_attention`, `map_to_tokens`,
+`tokens_to_map` and the elementwise ops (`relu`, `tanh`, `gelu`, ...)
+also take leading batch axes: maps (B, D, H, W), tokens (B, H*W, D),
+coordinates (B, 2, N), one sample per batch element.  `softmax` and
+`log_softmax` work on any axis; batched callers name it from the end
+(axis=-1).  Weights stay unbatched and shared.  A 3-D map is the same op
+with no batch axis, not a batch of one.
 
 Each batch element's value and input gradient are computed by the same
 numpy and BLAS calls, on the same memory layout, as a lone 3-D call, so
@@ -32,10 +32,13 @@ round differently.
 """
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
-from .autodiff import Node, as_node
+from .autodiff import Node, _unbroadcast, as_node
 from .errors import PreconditionError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -205,21 +208,25 @@ def gelu(x) -> Node:
     return Node(xv * cdf, (x,), (lambda g: g * (cdf + xv * pdf),))
 
 
-def softmax(x, axis: int) -> Node:
-    """Max-subtracted softmax along one axis; rows sum to 1.
-
-    Computed in one buffer: the exponent and the division overwrite the
-    shifted copy, which keeps its layout.
-    """
-    x = as_node(x)
-    s = x.value - x.value.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax along one axis, computed in one buffer: the
+    exponent and the division overwrite the shifted copy, which keeps its
+    layout."""
+    s = x - x.max(axis=axis, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=axis, keepdims=True)
-    return Node(
-        s,
-        (x,),
-        (lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)),),
-    )
+    return s
+
+
+def _softmax_vjp(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+
+def softmax(x, axis: int) -> Node:
+    """Max-subtracted softmax along one axis; rows sum to 1."""
+    x = as_node(x)
+    s = _softmax(x.value, axis)
+    return Node(s, (x,), (lambda g: _softmax_vjp(s, g, axis),))
 
 
 def log_softmax(x, axis: int) -> Node:
@@ -261,6 +268,97 @@ def take(x, idx) -> Node:
         return dx
 
     return Node(np.take(xv, idx, axis=-2), (x,), (vjp,))
+
+
+# id(table) -> (weak reference to the table, its scatter matrix).  Keyed by
+# the table object, not its geometry: a table that differs from another of
+# its shape (a patched `neighbor_table`) must scatter through its own
+# transpose.
+_scatters: dict[int, tuple[weakref.ref, sparse.csr_array]] = {}
+
+
+def _window_scatter(table: np.ndarray) -> sparse.csr_array:
+    """The one-hot (HW, HW*k*k) transpose of a neighbour table as a CSR
+    matrix with sorted column indices, built once per table object.
+
+    `S @ g` adds, for each key, the rows of g (one per table entry) that
+    gather it, in ascending entry order: the order, and so the bits, of
+    `np.add.at` into zeros.  The entry lives as long as the table does.
+    """
+    key = id(table)
+    hit = _scatters.get(key)
+    if hit is not None and hit[0]() is table:
+        return hit[1]
+    flat = table.reshape(-1)
+    per_key = np.bincount(flat, minlength=table.shape[0])
+    matrix = sparse.csr_array(
+        (np.ones(flat.size), np.argsort(flat, kind="stable"), np.concatenate(([0], np.cumsum(per_key)))),
+        shape=(table.shape[0], flat.size),
+    )
+    _scatters[key] = (weakref.ref(table, lambda _: _scatters.pop(key, None)), matrix)
+    return matrix
+
+
+def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
+    """Local-window attention over (..., HW, D) tokens: token n attends to
+    the keys and values at rows table[n] (an int (HW, k*k) table) with
+    logits q.k * scale -> (..., HW, D).
+
+    One Node for the gather, the logits, the softmax and the value mix.
+    Its VJPs make the numpy calls that `take`, `Node.reshape`, `*`,
+    `sum` and `softmax` composed into the same graph would, on the same
+    shapes and layouts, so value and gradients are equal to that graph's
+    bit for bit; the key and value gradients scatter through
+    `_window_scatter(table)` instead of `np.add.at`.  The parent order
+    (q, k, v) keeps that graph's order of accumulation: a map projected
+    to all three receives the v, then the k, then the q gradient.
+    """
+    q, k, v = as_node(q), as_node(k), as_node(v)
+    qv, kv, vv = q.value, k.value, v.value
+    if qv.ndim < 2 or {kv.shape, vv.shape} != {qv.shape} or table.ndim != 2 or len(table) != qv.shape[-2]:
+        raise ShapeError(f"window_attention: q {qv.shape}, k {kv.shape}, v {vv.shape}, table {table.shape}")
+    *lead, n, d = qv.shape
+    kk = table.shape[1]
+    products = (*lead, n, kk, d)
+    qr = qv.reshape((*lead, n, 1, d))
+    kn = np.take(kv, table, axis=-2)
+    vn = np.take(vv, table, axis=-2)
+    attn = _softmax((qr * kn).sum(axis=-1) * scale, axis=-1)
+    ar = attn.reshape((*lead, n, kk, 1))
+
+    # (g, gradient of the value mix, gradient of the q.k products) for the
+    # last g pushed; backward calls the three VJPs with one g, in order.
+    memo = []
+
+    def chain(g: np.ndarray) -> list:
+        if not memo or memo[0] is not g:
+            g_mix = np.broadcast_to(np.expand_dims(g, -2), products).copy()
+            g_attn = _unbroadcast(g_mix * vn, ar.shape).reshape(attn.shape)
+            g_logits = _softmax_vjp(attn, g_attn, -1) * scale
+            g_dot = np.broadcast_to(np.expand_dims(g_logits, -1), products).copy()
+            memo[:] = (g, g_mix, g_dot)
+        return memo
+
+    def scatter(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """(..., HW, k*k, D) gradients of gathered rows -> (..., HW, D),
+        laid out like `like`, as `take`'s buffer is."""
+        rows = np.moveaxis(g.reshape((*lead, n * kk, d)), -2, 0).reshape(n * kk, -1)
+        dx = np.empty_like(like)
+        dx[...] = np.moveaxis((_window_scatter(table) @ rows).reshape((n, *lead, d)), 0, -2)
+        return dx
+
+    def vjp_q(g: np.ndarray) -> np.ndarray:
+        return _unbroadcast(chain(g)[2] * kn, qr.shape).reshape(qv.shape)
+
+    def vjp_k(g: np.ndarray) -> np.ndarray:
+        return scatter(chain(g)[2] * qr, kv)
+
+    def vjp_v(g: np.ndarray) -> np.ndarray:
+        g_mix = chain(g)[1]
+        memo.clear()
+        return scatter(g_mix * ar, vv)
+
+    return Node((ar * vn).sum(axis=-2), (q, k, v), (vjp_q, vjp_k, vjp_v))
 
 
 def concat(parts, axis: int) -> Node:

@@ -277,24 +277,17 @@ def test_criterion_08_determinism(tmp_path, capsys):
 
 
 # Node constructions and ops calls, counted test-side, of one seeded
-# training step (train_loss, then backward) and of one inference at
-# criterion 08's geometry.  Unlike times they do not depend on the host; a
-# change that moves them states the old and new figures.
-GRAPH_COUNTS = {"train_step": (222, 92), "infer": (152, 80)}
+# training step (train_loss, then backward) and of one inference: at
+# criterion 08's geometry, and at the benchmark's (its `train` model on
+# 8x8 pairs, and a 32x32 inference as on `detect-dense`).  Unlike times
+# they do not depend on the host; a change that moves them states the old
+# and new figures.
+GRAPH_COUNTS = {"train_step": (202, 88), "infer": (132, 76)}
+BENCH_GRAPH_COUNTS = {"train_step": (210, 88), "infer_32x32": (132, 76)}
 
 
-def test_graph_and_op_counts_at_criterion_08_geometry(tmp_path, monkeypatch):
-    kv = parse_config_text(CFG_DETERMINISM)
-    cfg, tcfg = build_section(ModelConfig, "model", kv), build_section(TrainConfig, "train", kv)
-    split = build_split(kv)
-    index = generate_synthetic(tmp_path / "data", build_section(SynthConfig, "synth", kv), seed=tcfg.seed)
-    params = init_params(cfg, seed=tcfg.seed).nodes()
-    rng = np.random.default_rng((tcfg.seed, 101))  # run_training's first episode
-    episode = sample_episode(index, split, "base", rng, t_max=cfg.t_max, shots_per_slot=tcfg.shots_per_step)
-    supports = build_supports(index, split, tcfg.k, n_seeds=tcfg.n_support_seeds, master_seed=tcfg.seed)
-    protos = precompute_prototypes(index, supports, cfg, params)
-    image_id = sorted(index.entries)[0]
-
+def graph_counts(monkeypatch, run) -> tuple[int, int]:
+    """(Node constructions, public ops calls) made by `run()`."""
     counts = Counter()
     node_init = Node.__init__
 
@@ -309,15 +302,59 @@ def test_graph_and_op_counts_at_criterion_08_geometry(tmp_path, monkeypatch):
 
         return op
 
-    monkeypatch.setattr(Node, "__init__", counting_init)
-    for name, fn in list(vars(ops).items()):
-        if callable(fn) and getattr(fn, "__module__", None) == ops.__name__ and not name.startswith("_"):
-            monkeypatch.setattr(ops, name, counting(fn))
-    backward(train_loss(episode, index, cfg, tcfg, params))
-    step = (counts["nodes"], counts["ops"])
-    counts.clear()
-    infer(*index.load_pair(image_id), protos, cfg, params, image_id)
-    assert {"train_step": step, "infer": (counts["nodes"], counts["ops"])} == GRAPH_COUNTS
+    with monkeypatch.context() as m:
+        m.setattr(Node, "__init__", counting_init)
+        for name, fn in list(vars(ops).items()):
+            if callable(fn) and getattr(fn, "__module__", None) == ops.__name__ and not name.startswith("_"):
+                m.setattr(ops, name, counting(fn))
+        run()
+    return counts["nodes"], counts["ops"]
+
+
+def step_and_protos(index, split, cfg, tcfg):
+    """run_training's first episode on fresh parameters, and the prototype
+    table of those parameters."""
+    params = init_params(cfg, seed=tcfg.seed).nodes()
+    rng = np.random.default_rng((tcfg.seed, 101))
+    episode = sample_episode(index, split, "base", rng, t_max=cfg.t_max, shots_per_slot=tcfg.shots_per_step)
+    supports = build_supports(index, split, tcfg.k, n_seeds=tcfg.n_support_seeds, master_seed=tcfg.seed)
+    protos = precompute_prototypes(index, supports, cfg, params)
+    return params, lambda: backward(train_loss(episode, index, cfg, tcfg, params)), protos
+
+
+def test_graph_and_op_counts_at_criterion_08_geometry(tmp_path, monkeypatch):
+    kv = parse_config_text(CFG_DETERMINISM)
+    cfg, tcfg = build_section(ModelConfig, "model", kv), build_section(TrainConfig, "train", kv)
+    index = generate_synthetic(tmp_path / "data", build_section(SynthConfig, "synth", kv), seed=tcfg.seed)
+    params, step, protos = step_and_protos(index, build_split(kv), cfg, tcfg)
+    image_id = sorted(index.entries)[0]
+    counts = {
+        "train_step": graph_counts(monkeypatch, step),
+        "infer": graph_counts(monkeypatch, lambda: infer(*index.load_pair(image_id), protos, cfg, params, image_id)),
+    }
+    assert counts == GRAPH_COUNTS
+
+
+def test_graph_and_op_counts_at_bench_geometries(tmp_path, monkeypatch):
+    cfg = ModelConfig(
+        channels=8, classes_total=3, t_max=3, na_k=3, r=2, s=0.5, k_off=3, roi_out=2, roi_sampling=1,
+        score_thr=0.0,
+    )
+    tcfg = TrainConfig(shots_per_step=2, seed=0, k=5, n_support_seeds=5)
+    synth = dict(classes=3, channels=8, noise=0.1, min_size=3.0, max_size=4.5, amplitude=3.0)
+    index = generate_synthetic(
+        tmp_path / "train", SynthConfig(images=60, height=8, width=8, max_objects=1, **synth), seed=0
+    )
+    dense = generate_synthetic(
+        tmp_path / "dense", SynthConfig(images=1, height=32, width=32, max_objects=8, **synth), seed=1
+    )
+    params, step, protos = step_and_protos(index, SplitSpec(base_classes=(0, 2), novel_classes=(1,)), cfg, tcfg)
+    image_id = dense.image_ids()[0]
+    counts = {
+        "train_step": graph_counts(monkeypatch, step),
+        "infer_32x32": graph_counts(monkeypatch, lambda: infer(*dense.load_pair(image_id), protos, cfg, params, image_id)),
+    }
+    assert counts == BENCH_GRAPH_COUNTS
 
 
 def test_criterion_09_fusion_mode_plumbing(tmp_path, capsys):

@@ -51,11 +51,14 @@ MUTANTS = {
     ("sigmoid", 0): ("aggregation-and-cosine-loss", "protos"),
     ("tanh", 0): ("fusion", "cda_rgb.off_b"),
     ("gelu", 0): ("fusion", "cda_rgb.ln_g"),
-    ("softmax", 0): ("window-attention", "na.wq"),
+    ("softmax", 0): ("aggregation-and-cosine-loss", "cam.w"),
     ("log_softmax", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("sqrt", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("absolute", 0): ("training-loss", "head.box_b"),
-    ("take", 0): ("window-attention", "na.wk"),
+    ("take", 0): ("training-loss", "head.box_b"),
+    ("window_attention", 0): ("window-attention", "na.wq"),
+    ("window_attention", 1): ("window-attention", "na.wk"),
+    ("window_attention", 2): ("window-attention", "na.wv"),
     ("concat", 0): ("fusion", "cda_ir.off_b"),
     ("concat", 1): ("fusion", "cda_rgb.off_b"),
     ("map_to_tokens", 0): ("window-attention", "na.wq"),
@@ -67,7 +70,7 @@ MUTANTS = {
     ("Node.__add__", 1): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
     ("Node.__sub__", 0): ("training-loss", "head.box_b"),
     ("Node.__mul__", 0): ("window-attention", "na.wq"),
-    ("Node.__mul__", 1): ("window-attention", "na.wk"),
+    ("Node.__mul__", 1): ("aggregation-and-cosine-loss", "cam.w"),
     ("Node.__truediv__", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("Node.__truediv__", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("Node.__neg__", 0): ("training-loss", "head.obj_b"),
@@ -215,7 +218,7 @@ BREAKS = {
     "task-encoding-determinism": swapped_sin_cos,
     "container-round-trip": dropped_key,
     "annotation-round-trip": short_box_fields,
-    "vjp-vs-central-differences": lambda monkeypatch: install_mutant(monkeypatch, "take", 0),
+    "vjp-vs-central-differences": lambda monkeypatch: install_mutant(monkeypatch, "window_attention", 1),
 }
 
 

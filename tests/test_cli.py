@@ -10,7 +10,7 @@ import pytest
 
 from conftest import write_non_finite
 import fusedet
-from fusedet import audit, fmp
+from fusedet import audit, cli, fmp
 from fusedet.autodiff import ParamStore
 from fusedet.cli import main
 from fusedet.data import load_index
@@ -383,6 +383,61 @@ def trained(tmp_path_factory):
         ["train", "--data", str(data / "index.txt"), "--out", str(rundir), "--seed", "0", "--config", str(cfg)]
     ) == 0
     return data, rundir, str(cfg)
+
+
+class TestTrainOutputWholeOrAbsent:
+    """`train` writes its artifacts into a sibling directory and moves them
+    into place only once all are written."""
+
+    def train(self, capsys, trained, out):
+        data, _, cfg = trained
+        return run(capsys, "train", "--data", str(data / "index.txt"), "--out", str(out), "--seed", "0", "--config", cfg)
+
+    @staticmethod
+    def refuse_prototypes(monkeypatch):
+        def refuse(path, protos):
+            raise OSError(f"no space left to write {path}")
+
+        monkeypatch.setattr(cli, "save_prototypes", refuse)
+
+    def test_failed_write_leaves_no_out_path(self, tmp_path, capsys, monkeypatch, trained):
+        self.refuse_prototypes(monkeypatch)
+        out = tmp_path / "runs" / "run"
+        code, _, err = self.train(capsys, trained, out)
+        assert code == 1 and "no space left" in err
+        assert list(out.parent.iterdir()) == []
+
+    def test_failed_write_keeps_an_existing_out(self, tmp_path, capsys, monkeypatch, trained):
+        out = tmp_path / "run"
+        out.mkdir()
+        earlier = {"params.pst": b"earlier params", "notes.txt": b"kept"}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+        self.refuse_prototypes(monkeypatch)
+        assert self.train(capsys, trained, out)[0] == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_directory_at_an_artifact_path_writes_nothing(self, tmp_path, capsys, trained):
+        out = tmp_path / "run"
+        (out / "protos.pst").mkdir(parents=True)
+        code, _, err = self.train(capsys, trained, out)
+        assert code == 1 and "protos.pst" in err
+        assert [p.name for p in out.iterdir()] == ["protos.pst"]
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_new_and_existing_out_get_the_same_artifacts(self, tmp_path, capsys, trained, existing):
+        _, rundir, _ = trained
+        out = tmp_path / "run"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        assert self.train(capsys, trained, out)[0] == 0
+        for name in ("params.pst", "protos.pst", "log.txt"):
+            assert (out / name).read_bytes() == (rundir / name).read_bytes()
+        assert (out / "notes.txt").exists() == existing
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestCorruptPrototypes:
