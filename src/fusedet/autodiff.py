@@ -171,11 +171,12 @@ class Node:
     def transpose(self, axes=None) -> "Node":
         if axes is None:
             axes = tuple(reversed(range(self.value.ndim)))
-        inverse = tuple(np.argsort(axes))
+        # the inverse permutation is found in the VJP, which value-only
+        # forwards never call
         return Node(
             self.value.transpose(axes),
             (self,),
-            (lambda g: g.transpose(inverse),),
+            (lambda g: g.transpose(np.argsort(axes)),),
         )
 
 

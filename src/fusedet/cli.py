@@ -95,7 +95,7 @@ def cmd_fuse(args) -> int:
         init_fusion_params(want, fusion, args.mode)
         store = _load_params(args.params, want)
     out = fuse(rgb, ir, args.mode, fusion, store.nodes())
-    fmp.write_map(args.out, out.value)
+    _write_whole(args.out, lambda path: fmp.write_map(path, out.value))
     print(f"shape={out.value.shape} checksum={_checksum(args.out)}")
     return 0
 
@@ -104,6 +104,24 @@ def _require_split(split: SplitSpec | None) -> SplitSpec:
     if split is None:
         raise PreconditionError("this command needs split.base and split.novel in the config")
     return split
+
+
+def _partial_sibling(out: Path) -> Path:
+    """A fresh temporary path beside `out`, named after it."""
+    return out.parent / f".{out.name}.{uuid.uuid4().hex}.partial"
+
+
+def _write_whole(out, write) -> None:
+    """write(path) into a temporary sibling of `out`, then rename it to
+    `out`: a failed write leaves no new file and an existing `out` as it
+    was."""
+    out = Path(os.path.abspath(out))
+    partial = _partial_sibling(out)
+    try:
+        write(partial)
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _move_into_place(staging: Path, out: Path) -> None:
@@ -137,7 +155,7 @@ def cmd_train(args) -> int:
 
     out = Path(os.path.abspath(args.out))
     out.parent.mkdir(parents=True, exist_ok=True)
-    staging = out.parent / f".{out.name}.{uuid.uuid4().hex}.partial"
+    staging = _partial_sibling(out)
     staging.mkdir()
     try:
         store.save(staging / "params.pst")
@@ -167,7 +185,7 @@ def cmd_infer(args) -> int:
     store = _load_params(args.params, init_params(model))
     protos = load_prototypes(args.protos)
     dets = detect_over(index, ids, protos, model, store.nodes())
-    write_detections(args.out, dets)
+    _write_whole(args.out, lambda path: write_detections(path, dets))
     print(f"wrote {len(dets)} detections for {len(ids)} images to {args.out}")
     return 0
 

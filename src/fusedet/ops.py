@@ -35,11 +35,14 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-from scipy import sparse
 from scipy.special import erf
 
 from .autodiff import Node, _unbroadcast, as_node
-from .errors import PreconditionError, ShapeError
+from .errors import NumericGuardError, PreconditionError, ShapeError
+
+# scipy.sparse, imported when `_window_scatter` first builds a matrix: a
+# process that never runs a window-attention backward does not load it.
+sparse = None
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -285,10 +288,13 @@ def _window_scatter(table: np.ndarray) -> sparse.csr_array:
     gather it, in ascending entry order: the order, and so the bits, of
     `np.add.at` into zeros.  The entry lives as long as the table does.
     """
+    global sparse
     key = id(table)
     hit = _scatters.get(key)
     if hit is not None and hit[0]() is table:
         return hit[1]
+    if sparse is None:
+        from scipy import sparse
     flat = table.reshape(-1)
     per_key = np.bincount(flat, minlength=table.shape[0])
     matrix = sparse.csr_array(
@@ -359,6 +365,137 @@ def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
         return scatter(g_mix * ar, vv)
 
     return Node((ar * vn).sum(axis=-2), (q, k, v), (vjp_q, vjp_k, vjp_v))
+
+
+def _slot_attention(queries: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
+    """softmax_rows(queries keys^T * scale): `aggregate`'s (HW, C)
+    attention from its (HW, D) projected tokens and (C, D) keys."""
+    return _softmax((queries @ keys.transpose((1, 0))) * scale, axis=1)
+
+
+def aggregate(x, keys, gate, w, enc: np.ndarray, w1, b1, w2, b2, scale: float, filter_gate: bool = True) -> Node:
+    """Prototype aggregation over a (D, H, W) query map -> (D, H, W).
+
+    Each location attends over the C prototype slots with
+    A = softmax_rows((X w) keys^T * scale), X the map's (HW, D) tokens and
+    keys the (C, D) projected prototypes.  The gate mix A gate filters X
+    (filter_gate; otherwise it replaces X), the constant (C, D) slot
+    encodings enter as A enc, and a two-layer ReLU FFN (w1, b1, w2, b2)
+    maps each token back to D channels.
+
+    One Node for the scores, softmax, gate, encodings and FFN, with
+    parents (x, keys, gate, w, w1, b1, w2, b2); `enc` gets no gradient.
+    Its VJPs make the numpy calls that `map_to_tokens`, `matmul`,
+    `Node.transpose`, `*`, `softmax`, `+`, `relu` and `tokens_to_map`
+    composed into the same graph would, on the same shapes and layouts,
+    so value and gradients are equal to that graph's bit for bit.  keys
+    comes before gate among the parents, as the scores come before the
+    gate in that graph: a prototype row feeding both gets the gate's
+    gradient first.
+    """
+    x, keys, gate, w, w1, b1, w2, b2 = (as_node(a) for a in (x, keys, gate, w, w1, b1, w2, b2))
+    xv, kv, gv, wv, w1v, w2v = x.value, keys.value, gate.value, w.value, w1.value, w2.value
+    if xv.ndim != 3 or kv.shape != gv.shape or kv.shape != enc.shape or kv.shape[1:] != xv.shape[:1]:
+        raise ShapeError(f"aggregate: map {xv.shape}, keys {kv.shape}, gate {gv.shape}, encodings {enc.shape}")
+    d, h, wd = xv.shape
+    n = h * wd
+    tokens = xv.transpose((1, 2, 0)).reshape((n, d))
+    qp = tokens @ wv
+    attn = _slot_attention(qp, kv, scale)
+    mix = attn @ gv
+    z = (tokens * mix if filter_gate else mix) + attn @ enc
+    pre = z @ w1v + b1.value
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    out = (hidden @ w2v + b2.value).reshape((h, wd, d)).transpose((2, 0, 1))
+
+    # the gradients of the eight parents for the last g pushed; backward
+    # calls the VJPs with one g, in parent order
+    memo: dict = {}
+
+    def chain(g: np.ndarray) -> dict:
+        if memo.get("g") is not g:
+            g_out = g.transpose((1, 2, 0)).reshape((n, d))
+            g_pre = (g_out @ np.swapaxes(w2v, -1, -2)) * mask
+            g_z = g_pre @ np.swapaxes(w1v, -1, -2)
+            g_mix = g_z * tokens if filter_gate else g_z
+            g_attn = g_z @ np.swapaxes(enc, -1, -2) + g_mix @ np.swapaxes(gv, -1, -2)
+            g_scores = _softmax_vjp(attn, g_attn, 1) * scale
+            g_qp = g_scores @ kv
+            g_tokens = g_qp @ np.swapaxes(wv, -1, -2)
+            if filter_gate:
+                g_tokens = g_z * mix + g_tokens
+            memo.clear()
+            memo.update(
+                g=g,
+                x=g_tokens.reshape((h, wd, d)).transpose((2, 0, 1)),
+                keys=(np.swapaxes(qp, -1, -2) @ g_scores).transpose((1, 0)),
+                gate=np.swapaxes(attn, -1, -2) @ g_mix,
+                w=np.swapaxes(tokens, -1, -2) @ g_qp,
+                w1=np.swapaxes(z, -1, -2) @ g_pre,
+                b1=_unbroadcast(g_pre, b1.value.shape),
+                w2=np.swapaxes(hidden, -1, -2) @ g_out,
+                b2=_unbroadcast(g_out, b2.value.shape),
+            )
+        return memo
+
+    def vjp(name: str):
+        return lambda g: chain(g)[name]
+
+    names = ("x", "keys", "gate", "w", "w1", "b1", "w2", "b2")
+    return Node(out, (x, keys, gate, w, w1, b1, w2, b2), tuple(vjp(name) for name in names))
+
+
+def cosine_cross_entropy(unit_rows, weights, labels: np.ndarray, alpha: float) -> Node:
+    """Mean cross-entropy of (C, D) unit rows against their labels, with
+    logits alpha * unit_rows . (weights' rows scaled to unit norm): a
+    scalar.  A zero-norm weight row raises NumericGuardError.
+
+    One Node for the weight normalisation, logits, log-softmax and label
+    pick, with parents (unit_rows, weights).  Its VJPs make the numpy calls
+    that `*`, `Node.sum`, `sqrt`, `/`, `Node.transpose`, `matmul` and
+    `log_softmax` composed into the same graph would, on the same shapes
+    and layouts, and sum a weight row's three parts in that graph's order,
+    so value and gradients are equal to that graph's bit for bit.
+    """
+    unit_rows, weights = as_node(unit_rows), as_node(weights)
+    uv, wv = unit_rows.value, weights.value
+    if uv.ndim != 2 or wv.ndim != 2 or uv.shape[1] != wv.shape[1] or labels.shape != uv.shape[:1]:
+        raise ShapeError(f"cosine_cross_entropy: rows {uv.shape}, weights {wv.shape}, labels {labels.shape}")
+    c = uv.shape[0]
+    sq = (wv * wv).sum(axis=(1,), keepdims=True)
+    if np.any(sq <= 0):
+        raise NumericGuardError("zero-norm class-weight row in cosine loss")
+    norm = np.sqrt(sq)
+    wnt = (wv / norm).transpose((1, 0))
+    logits = (uv @ wnt) * alpha
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = np.zeros(logits.shape)
+    picked[np.arange(c), labels] = 1.0
+    mean = -1.0 / c
+    memo: dict = {}
+
+    def chain(g: np.ndarray) -> dict:
+        if memo.get("g") is not g:
+            g_logp = np.broadcast_to(np.expand_dims(g * mean, (0, 1)), logits.shape).copy() * picked
+            g_logits = (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)) * alpha
+            g_wn = (np.swapaxes(uv, -1, -2) @ g_logits).transpose((1, 0))
+            g_norm = _unbroadcast(-g_wn * wv / (norm * norm), norm.shape)
+            g_sq = np.broadcast_to(g_norm * 0.5 / norm, wv.shape).copy() * wv
+            memo.clear()
+            memo.update(
+                g=g,
+                rows=g_logits @ np.swapaxes(wnt, -1, -2),
+                weights=(g_wn / norm + g_sq) + g_sq,
+            )
+        return memo
+
+    return Node(
+        (logp * picked).sum(axis=(0, 1)) * mean,
+        (unit_rows, weights),
+        (lambda g: chain(g)["rows"], lambda g: chain(g)["weights"]),
+    )
 
 
 def concat(parts, axis: int) -> Node:

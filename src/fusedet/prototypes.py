@@ -174,7 +174,7 @@ def cam_forward(
     features ("filter" multiplies the query map by the mix; "matrix"
     replaces it), the slot encodings are injected as A T, and a two-layer
     dense FFN produces the output map.  With return_attention the (HW, C)
-    attention matrix is returned alongside the map.
+    attention matrix is returned alongside the map, as a constant node.
     """
     if gate_mode not in GATE_MODES:
         raise PreconditionError(f"unknown gate mode {gate_mode!r}; expected one of {GATE_MODES}")
@@ -183,19 +183,20 @@ def cam_forward(
     if protos.s.value.shape[1] != d:
         raise ShapeError(f"prototypes have width {protos.s.value.shape[1]}, map has {d} channels")
 
-    qf = ops.map_to_tokens(f_q)
+    # the two reads of the prototype rows stay nodes of their own, so
+    # their gradients reach s one at a time, in the composed graph's order
     proj = params[f"{prefix}.w"]
-    scores = ops.matmul(ops.matmul(qf, proj), ops.matmul(protos.s, proj).transpose())
-    attn = ops.softmax(scores * (1.0 / np.sqrt(d)), axis=1)  # (HW, C)
-
-    gate = ops.matmul(attn, ops.sigmoid(protos.s))  # (HW, D)
-    q_f = qf * gate if gate_mode == "filter" else gate
-    q_e = ops.matmul(attn, as_node(protos.t))
-
-    hidden = ops.relu(ops.matmul(q_f + q_e, params[f"{prefix}.ffn_w1"]) + params[f"{prefix}.ffn_b1"])
-    out = ops.matmul(hidden, params[f"{prefix}.ffn_w2"]) + params[f"{prefix}.ffn_b2"]
-    out = ops.tokens_to_map(out, h, w)
-    return (out, attn) if return_attention else out
+    keys = ops.matmul(protos.s, proj)
+    scale = 1.0 / np.sqrt(d)
+    out = ops.aggregate(
+        f_q, keys, ops.sigmoid(protos.s), proj, protos.t,
+        *(params[f"{prefix}.ffn_{name}"] for name in ("w1", "b1", "w2", "b2")),
+        scale, filter_gate=gate_mode == "filter",
+    )
+    if not return_attention:
+        return out
+    tokens = f_q.value.transpose((1, 2, 0)).reshape((h * w, d))
+    return out, as_node(ops._slot_attention(tokens @ proj.value, keys.value, scale))
 
 
 def cosine_ce_loss(s, class_weights, labels, alpha: float = 20.0) -> Node:
@@ -209,18 +210,10 @@ def cosine_ce_loss(s, class_weights, labels, alpha: float = 20.0) -> Node:
     if labels.min() < 0 or labels.max() >= class_weights.value.shape[0]:
         raise PreconditionError(f"labels {labels} outside weight rows {class_weights.value.shape[0]}")
 
-    def unit_rows(m: Node, what: str) -> Node:
-        sq = (m * m).sum(axis=1, keepdims=True)
-        if np.any(sq.value <= 0):
-            raise NumericGuardError(f"zero-norm {what} row in cosine loss")
-        return m / ops.sqrt(sq)
-
-    sn = unit_rows(s, "prototype")
-    wn = unit_rows(class_weights, "class-weight")
-    logits = ops.matmul(sn, wn.transpose()) * alpha
-    picked = np.zeros((c, class_weights.value.shape[0]))
-    picked[np.arange(c), labels] = 1.0
-    return (ops.log_softmax(logits, axis=1) * picked).sum() * (-1.0 / c)
+    sq = (s * s).sum(axis=1, keepdims=True)
+    if np.any(sq.value <= 0):
+        raise NumericGuardError("zero-norm prototype row in cosine loss")
+    return ops.cosine_cross_entropy(s / ops.sqrt(sq), class_weights, labels, alpha)
 
 
 def average_prototypes(per_seed: list[PrototypeSet]) -> PrototypeSet:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fusedet import audit, data, deformable, evaluation, fmp, neighborhood, ops, prototypes
-from fusedet.autodiff import Node, as_node, grad_check
+from fusedet.autodiff import Node, as_node, grad_check, no_grad
 
 
 def scaled_vjp(fn, slot: int):
@@ -37,8 +37,8 @@ def install_mutant(monkeypatch, op: str, slot: int) -> None:
 # gradient flows through it).  Families by cost: window-attention,
 # aggregation-and-cosine-loss, fusion, training-loss.
 MUTANTS = {
-    ("matmul", 0): ("aggregation-and-cosine-loss", "cam.ffn_b1"),
-    ("matmul", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("matmul", 0): ("aggregation-and-cosine-loss", "protos"),
+    ("matmul", 1): ("aggregation-and-cosine-loss", "cam.w"),
     ("conv1x1", 0): ("fusion", "cda_rgb.off_b"),
     ("conv1x1", 1): ("window-attention", "na.wq"),
     ("conv1x1", 2): ("fusion", "cda_rgb.off_b"),
@@ -47,18 +47,28 @@ MUTANTS = {
     ("layer_norm", 0): ("fusion", "na_rgb.wq"),
     ("layer_norm", 1): ("fusion", "cda_rgb.ln_g"),
     ("layer_norm", 2): ("fusion", "cda_rgb.ln_b"),
-    ("relu", 0): ("aggregation-and-cosine-loss", "cam.ffn_b1"),
+    ("relu", 0): ("fusion", "cda_rgb.ffn_b1"),
     ("sigmoid", 0): ("aggregation-and-cosine-loss", "protos"),
     ("tanh", 0): ("fusion", "cda_rgb.off_b"),
     ("gelu", 0): ("fusion", "cda_rgb.ln_g"),
-    ("softmax", 0): ("aggregation-and-cosine-loss", "cam.w"),
-    ("log_softmax", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
-    ("sqrt", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("softmax", 0): ("fusion", "cda_rgb.wq"),
+    ("log_softmax", 0): ("training-loss", "head.obj_b"),
+    ("sqrt", 0): ("aggregation-and-cosine-loss", "protos"),
     ("absolute", 0): ("training-loss", "head.box_b"),
     ("take", 0): ("training-loss", "head.box_b"),
     ("window_attention", 0): ("window-attention", "na.wq"),
     ("window_attention", 1): ("window-attention", "na.wk"),
     ("window_attention", 2): ("window-attention", "na.wv"),
+    ("aggregate", 0): ("training-loss", "na_rgb.wq"),
+    ("aggregate", 1): ("aggregation-and-cosine-loss", "cam.w"),
+    ("aggregate", 2): ("aggregation-and-cosine-loss", "protos"),
+    ("aggregate", 3): ("aggregation-and-cosine-loss", "cam.w"),
+    ("aggregate", 4): ("aggregation-and-cosine-loss", "cam.ffn_w1"),
+    ("aggregate", 5): ("aggregation-and-cosine-loss", "cam.ffn_b1"),
+    ("aggregate", 6): ("aggregation-and-cosine-loss", "cam.ffn_w2"),
+    ("aggregate", 7): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
+    ("cosine_cross_entropy", 0): ("aggregation-and-cosine-loss", "protos"),
+    ("cosine_cross_entropy", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("concat", 0): ("fusion", "cda_ir.off_b"),
     ("concat", 1): ("fusion", "cda_rgb.off_b"),
     ("map_to_tokens", 0): ("window-attention", "na.wq"),
@@ -67,12 +77,12 @@ MUTANTS = {
     ("bilinear_sample", 0): ("fusion", "na_rgb.wq"),
     ("bilinear_sample", 1): ("fusion", "cda_rgb.off_b"),
     ("Node.__add__", 0): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
-    ("Node.__add__", 1): ("aggregation-and-cosine-loss", "cam.ffn_b2"),
+    ("Node.__add__", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
     ("Node.__sub__", 0): ("training-loss", "head.box_b"),
     ("Node.__mul__", 0): ("window-attention", "na.wq"),
-    ("Node.__mul__", 1): ("aggregation-and-cosine-loss", "cam.w"),
-    ("Node.__truediv__", 0): ("aggregation-and-cosine-loss", "meta.class_weights"),
-    ("Node.__truediv__", 1): ("aggregation-and-cosine-loss", "meta.class_weights"),
+    ("Node.__mul__", 1): ("aggregation-and-cosine-loss", "protos"),
+    ("Node.__truediv__", 0): ("aggregation-and-cosine-loss", "protos"),
+    ("Node.__truediv__", 1): ("aggregation-and-cosine-loss", "protos"),
     ("Node.__neg__", 0): ("training-loss", "head.obj_b"),
     ("Node.sum", 0): ("window-attention", "na.wq"),
     ("Node.reshape", 0): ("window-attention", "na.wq"),
@@ -105,6 +115,18 @@ def test_vjp_mutant_is_caught(op, slot, families, monkeypatch):
     assert grad_check(build, store, keys=[key]) > audit.GRAD_TOL
     if family in audit.SELFTEST_FAMILIES:
         assert failing(audit.run_selftests()) == ["vjp-vs-central-differences"]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in audit.AUDIT_CASES])
+def test_grad_check_differences_the_recorded_loss(name, families):
+    """grad_check's value-only forwards compute the loss its backward
+    differentiates: at the family's first verified seed the two are equal
+    in bytes."""
+    store, build = families[name]
+    recorded = build(store.nodes()).value
+    with no_grad():
+        value_only = build(store.nodes()).value
+    assert value_only.tobytes() == recorded.tobytes()
 
 
 def test_every_op_has_a_mutant():

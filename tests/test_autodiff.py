@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,15 @@ class TestNodeShaping:
         probe = np.arange(6.0).reshape(3, 2)
         backward((a.transpose((1, 0)) * probe).sum())
         assert np.array_equal(a.grad, probe.T)
+
+    @pytest.mark.parametrize("axes", [*itertools.permutations(range(4)), None], ids=str)
+    def test_transpose_vjp_round_trips(self, axes):
+        """The VJP of a transpose undoes it: the transposed value maps back
+        to the array, as a view of the same buffer."""
+        x = np.arange(120.0).reshape(2, 3, 4, 5)
+        t = Node(x).transpose(axes)
+        back = t._vjps[0](t.value)
+        assert back.shape == x.shape and np.array_equal(back, x) and np.shares_memory(back, x)
 
 
 class TestBackward:

@@ -440,6 +440,59 @@ class TestTrainOutputWholeOrAbsent:
         assert list(tmp_path.iterdir()) == [out]
 
 
+class TestInferAndFuseOutputWholeOrAbsent:
+    """`infer` and `fuse` write their output file beside it and rename it
+    into place once written: a write that fails midway leaves no new file
+    and an existing one as it was."""
+
+    @staticmethod
+    def fail_midway(monkeypatch, owner, name):
+        def half_written(path, *_):
+            Path(path).write_bytes(b"the first bytes")
+            raise OSError(f"no space left to write {path}")
+
+        monkeypatch.setattr(owner, name, half_written)
+
+    def infer(self, capsys, trained, out):
+        data, rundir, cfg = trained
+        return run(
+            capsys, "infer", "--data", str(data / "index.txt"), "--params", str(rundir / "params.pst"),
+            "--protos", str(rundir / "protos.pst"), "--out", str(out), "--config", cfg,
+        )
+
+    def fuse(self, capsys, maps, out):
+        return run(capsys, "fuse", "--rgb", maps[2], "--ir", maps[3], "--out", str(out))
+
+    @pytest.mark.parametrize("command", ["infer", "fuse"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_leaves_no_new_file(self, command, existing, tmp_path, capsys, monkeypatch, trained):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result"
+        if existing:
+            out.write_bytes(b"earlier output")
+        maps = small_maps(tmp_path)
+        if command == "infer":
+            self.fail_midway(monkeypatch, cli, "write_detections")
+            code, _, err = self.infer(capsys, trained, out)
+        else:
+            self.fail_midway(monkeypatch, fmp, "write_map")
+            code, _, err = self.fuse(capsys, maps, out)
+        assert code == 1 and "no space left" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == ({"result": b"earlier output"} if existing else {})
+
+    @pytest.mark.parametrize("command", ["infer", "fuse"])
+    def test_existing_file_is_replaced_whole(self, command, tmp_path, capsys, trained):
+        outs = [tmp_path / "fresh", tmp_path / "existing"]
+        outs[1].write_bytes(b"earlier output, longer than nothing" * 1000)
+        maps = small_maps(tmp_path)
+        for out in outs:
+            code = self.infer(capsys, trained, out)[0] if command == "infer" else self.fuse(capsys, maps, out)[0]
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+
 class TestCorruptPrototypes:
     """Every malformed prototype file exits with its documented code."""
 

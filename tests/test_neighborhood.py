@@ -1,10 +1,17 @@
 import gc
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import fusedet
+from conftest import same_bits
 from fusedet import audit, neighborhood as na_module, ops
 from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check, no_grad
 from fusedet.errors import PreconditionError, ShapeError
@@ -164,12 +171,6 @@ def composed_attention(qf, kf, vf, table, scale) -> Node:
     return (attn.reshape((*lead, n, kk, 1)) * vn).sum(axis=-2)
 
 
-def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
-    """Equal values in the same memory order, which sets the bits of
-    whatever consumes them next."""
-    return np.array_equal(got, want) and np.argsort(got.strides).tolist() == np.argsort(want.strides).tolist()
-
-
 def tokens_and_grads(attention, maps: np.ndarray, k: int, probe: np.ndarray):
     """Value of `attention` with k x k windows over the tokens of three
     maps (strided views, as `map_to_tokens` makes them), and the gradients
@@ -281,6 +282,39 @@ class TestWindowScatter:
         want = np.zeros((16, wrong.size))
         want[wrong.reshape(-1), np.arange(wrong.size)] = 1.0
         assert np.array_equal(got, want) and not np.array_equal(got, first.toarray())
+
+
+def test_scipy_sparse_loads_with_the_first_scatter():
+    """Importing the ops and a value-only inference leave scipy.sparse
+    unloaded; one window-attention backward loads it."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import fusedet.ops
+        from fusedet.autodiff import Node, backward
+        from fusedet.model import ModelConfig, init_params
+        from fusedet.neighborhood import neighbor_table
+        from fusedet.prototypes import PrototypeSet, task_encodings
+        from fusedet.training import infer
+
+        loaded = ["scipy.sparse" in sys.modules]
+        cfg = ModelConfig(channels=4, classes_total=2, t_max=2, roi_out=2, roi_sampling=1, score_thr=0.0)
+        rng = np.random.default_rng(0)
+        protos = PrototypeSet(s=rng.standard_normal((2, 4)), t=task_encodings(2, 4), class_ids=(0, 1))
+        infer(rng.standard_normal((4, 8, 8)), rng.standard_normal((4, 8, 8)), protos, cfg, init_params(cfg).nodes())
+        loaded.append("scipy.sparse" in sys.modules)
+        q, k, v = (Node(rng.standard_normal((16, 2))) for _ in range(3))
+        backward(fusedet.ops.window_attention(q, k, v, neighbor_table(4, 4, 3), 0.5).sum())
+        loaded.append("scipy.sparse" in sys.modules)
+        print(loaded)
+    """)
+    src = str(Path(fusedet.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False, True]"
 
 
 def test_na_forward_scatters_through_the_table_it_gathers_with(monkeypatch):

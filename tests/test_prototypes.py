@@ -1,15 +1,19 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from fusedet.autodiff import ParamStore, as_node, backward, grad_check
+from conftest import composed_aggregate, composed_cosine_cross_entropy, run_recording_op_inputs, same_bits
+from fusedet import audit, ops
+from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check
 from fusedet.deformable import normalize_coords
 from fusedet.errors import NumericGuardError, PreconditionError, ShapeError
 from fusedet.evaluation import Box, GroundTruth
 from fusedet.ops import bilinear_sample, sigmoid
 from fusedet.prototypes import (
+    GATE_MODES,
     PrototypeSet,
     average_prototypes,
     cam_forward,
@@ -431,6 +435,97 @@ class TestCosineCELoss:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(PreconditionError):
             cosine_ce_loss(np.eye(2), np.eye(2), [0, 5])
+
+
+def aggregate_arrays(seed: int, c: int = 3, d: int = 4, h: int = 3, w: int = 5) -> dict:
+    """Random inputs of ops.aggregate: the map, keys, gate, projection,
+    encodings and FFN, and the FFN's hidden width 2D."""
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (d, h, w), "keys": (c, d), "gate": (c, d), "w": (d, d), "enc": (c, d),
+              "w1": (d, 2 * d), "b1": (2 * d,), "w2": (2 * d, d), "b2": (d,)}
+    return {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+
+class TestAggregationOps:
+    """ops.aggregate and ops.cosine_cross_entropy give the value and every
+    input gradient of their composed graphs bit for bit, in the same
+    memory order."""
+
+    @pytest.mark.parametrize("filter_gate", [True, False], ids=["filter", "matrix"])
+    @pytest.mark.parametrize("strided", [False, True], ids=["c-probe", "strided-probe"])
+    def test_aggregate_equals_composed_graph(self, filter_gate, strided):
+        arrays = aggregate_arrays(seed=40)
+        enc = arrays.pop("enc")
+        rng = np.random.default_rng(41)
+        probe = rng.standard_normal((5, 4, 3)).transpose((1, 2, 0)) if strided else rng.standard_normal((4, 3, 5))
+        results = []
+        for op in (ops.aggregate, composed_aggregate):
+            leaves = {name: Node(a) for name, a in arrays.items()}
+            out = op(*(leaves[n] for n in ("x", "keys", "gate", "w")), enc,
+                     *(leaves[n] for n in ("w1", "b1", "w2", "b2")), 0.5, filter_gate=filter_gate)
+            backward((out * probe).sum())
+            results.append([out.value, *(leaf.grad for leaf in leaves.values())])
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    def test_aggregate_encodings_get_no_gradient(self):
+        arrays = aggregate_arrays(seed=42)
+        out = ops.aggregate(*(arrays[n] for n in ("x", "keys", "gate", "w", "enc", "w1", "b1", "w2", "b2")), 0.5)
+        assert len(out._parents) == 8
+        assert all(p.value is not arrays["enc"] for p in out._parents)
+
+    def test_aggregate_rejects_mismatched_shapes(self):
+        arrays = aggregate_arrays(seed=43)
+        arrays["keys"] = arrays["keys"][:, :3]
+        with pytest.raises(ShapeError):
+            ops.aggregate(*(arrays[n] for n in ("x", "keys", "gate", "w", "enc", "w1", "b1", "w2", "b2")), 0.5)
+
+    @pytest.mark.parametrize("alpha", [20.0, 1.0])
+    def test_cosine_cross_entropy_equals_composed_graph(self, alpha):
+        rng = np.random.default_rng(44)
+        rows = rng.standard_normal((3, 5))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        weights = rng.standard_normal((4, 5))
+        labels = np.array([2, 0, 3])
+        results = []
+        for op in (ops.cosine_cross_entropy, composed_cosine_cross_entropy):
+            leaves = [Node(rows), Node(weights)]
+            loss = op(*leaves, labels, alpha)
+            backward(loss * 3.0)
+            results.append([loss.value, *(leaf.grad for leaf in leaves)])
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    def test_cosine_cross_entropy_guards_zero_weight_rows(self):
+        with pytest.raises(NumericGuardError, match="class-weight"):
+            ops.cosine_cross_entropy(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 1]), 1.0)
+
+    @pytest.mark.parametrize("seed", dict((n, s) for n, _, s in audit.AUDIT_CASES)["aggregation-and-cosine-loss"])
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_audit_fixtures_equal_composed_graph(self, seed, gate_mode, monkeypatch):
+        """On the audit's aggregation fixtures, the loss, every parameter
+        gradient and the gradient reaching each op input equal the composed
+        graph's."""
+        store, build = audit.aggregation_case(seed, None)
+        monkeypatch.setattr(audit, "cam_forward", functools.partial(cam_forward, gate_mode=gate_mode))
+        results = []
+        for composed in (False, True):
+            params = store.nodes()
+            loss, inputs = run_recording_op_inputs(monkeypatch, composed, lambda: build(params))
+            backward(loss)
+            results.append([loss.value, *(params[k].grad for k in store.keys()), *(n.grad for n in inputs)])
+        assert len(results[0]) == len(results[1]) == 1 + len(store.keys()) + 10
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    def test_attention_equals_composed_softmax(self):
+        rng = np.random.default_rng(45)
+        d = 4
+        protos = make_protos(3, d, seed=46)
+        store = ParamStore(seed=47)
+        init_cam_params(store, "cam", d)
+        f_q = rng.standard_normal((d, 3, 5))
+        attn = cam_forward(f_q, protos, store.nodes(), return_attention=True)[1]
+        w = store.array("cam.w")
+        scores = ops.matmul(ops.matmul(ops.map_to_tokens(f_q), w), ops.matmul(protos.s, w).transpose())
+        assert same_bits(attn.value, ops.softmax(scores * (1.0 / np.sqrt(d)), axis=1).value)
 
 
 class TestAveragePrototypes:

@@ -33,7 +33,7 @@ from fusedet.training import (
     train_loss,
 )
 
-from conftest import iou
+from conftest import iou, run_recording_op_inputs, same_bits
 
 TINY_MODEL = dict(
     channels=4, classes_total=2, t_max=2, na_k=3,
@@ -953,6 +953,29 @@ class TestBatchedFusion:
         assert n_wide == 2
         assert sorted(pooled) == sorted([(n_wide, 4, 4, 8), (len(records) - n_wide, 4, 4, 4)])
         assert np.array_equal(got.values, want.values) and got.class_ids == want.class_ids
+
+
+class TestAggregationOpsInTraining:
+    @pytest.mark.parametrize("gate_mode", ["filter", "matrix"])
+    @pytest.mark.parametrize("kind", ["finetune", "crowded"])
+    def test_train_step_equals_composed_graph(self, kind, gate_mode, batch_setup, monkeypatch):
+        """A seeded train_loss step with ops.aggregate and
+        ops.cosine_cross_entropy gives the loss, every parameter gradient
+        and the gradient reaching each op input of the composed graphs,
+        bit for bit and in the same memory order."""
+        index, supports, store = batch_setup
+        episode = batch_episode(index, supports, kind)
+        cfg = BATCH_MODEL.with_updates(gate_mode=gate_mode)
+        results = []
+        for composed in (False, True):
+            params = store.nodes()
+            loss, inputs = run_recording_op_inputs(
+                monkeypatch, composed, lambda: train_loss(episode, index, cfg, TrainConfig(), params)
+            )
+            backward(loss)
+            results.append([loss.value, *(params[k].grad for k in store.keys()), *(n.grad for n in inputs)])
+        assert len(results[0]) == len(results[1]) == 1 + len(store.keys()) + 10
+        assert all(a is None and b is None or same_bits(a, b) for a, b in zip(*results))
 
 
 def add_wide_pair(index, root):
