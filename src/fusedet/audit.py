@@ -201,10 +201,19 @@ def cda_dense_oracle(f_res, f_q, f_kv, store: ParamStore) -> np.ndarray:
 
 
 def check_softmax_rows() -> str:
-    s = ops.softmax(np.random.default_rng(3).standard_normal((6, 5)), axis=1).value
+    """Rows sum to 1, and the VJP matches central differences under a
+    random probe: neither selftest gradient family calls `ops.softmax`."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 5))
+    s = ops.softmax(x, axis=1).value
     err = np.abs(s.sum(axis=1) - 1.0).max()
     assert np.all(s >= 0) and err <= 1e-12, f"softmax rows: min {s.min():.3e}, sums off 1 by {err:.3e}"
-    return f"6 rows sum to 1 within {err:.3e} <= 1e-12"
+    store = ParamStore()
+    store.add("x", x)
+    probe = rng.standard_normal((6, 5))
+    grad_err = grad_check(lambda p: (ops.softmax(p["x"], axis=1) * probe).sum(), store)
+    assert grad_err <= GRAD_TOL, f"softmax VJP differs from central differences by {grad_err:.3e}"
+    return f"6 rows sum to 1 within {err:.3e} <= 1e-12, VJP within {grad_err:.3e} <= {GRAD_TOL:g}"
 
 
 def check_window_oracle() -> str:
@@ -362,7 +371,7 @@ FAULTS = ("softmax",)
 def _corrupt_softmax(x, axis):
     x = as_node(x)
     e = np.exp(x.value - x.value.max(axis=axis, keepdims=True))
-    return Node(e / e.sum(axis=axis, keepdims=True) + 0.01, (x,), (lambda g: g * 0.0,))
+    return Node(e / e.sum(axis=axis, keepdims=True) + 0.01, (x,), lambda g: (g * 0.0,))
 
 
 def run_selftests(inject_fault: str | None = None) -> list[tuple[str, bool, str]]:

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Node wraps an ndarray value together with the closures needed to push an
-incoming gradient back to its parents.  Graphs are built eagerly by the op
-layer (see ops.py), kept acyclic by construction, and traversed exactly once,
-in reverse topological order, by backward().  Everything is float64: the
-whole package trades speed for the headroom central differences need.
+A Node wraps an ndarray value together with its parents and one VJP, a
+closure that maps an incoming gradient to a tuple of gradients, one per
+parent in parent order.  Graphs are built eagerly by the op layer (see
+ops.py), kept acyclic by construction, and traversed exactly once, in
+reverse topological order, by backward(), which calls each node's VJP
+once.  Everything is float64: the whole package trades speed for the
+headroom central differences need.
 
 ParamStore owns the named leaf arrays plus the RNG used to initialize them,
 so a training step can rebuild a fresh graph over the same storage and a
@@ -12,7 +14,7 @@ store recreated from the same seed (with the same init calls, in the same
 order) is bit-identical.
 
 Inside `with no_grad():` the same ops run value-only: each Node keeps its
-value but drops its parents and VJPs, so no graph outlives the op that
+value but drops its parents and VJP, so no graph outlives the op that
 built it.  Inference, prototype precompute and the finite-difference
 forwards of grad_check run this way; `backward` refuses to run there.
 """
@@ -28,7 +30,8 @@ from . import fmp
 from .errors import PreconditionError, ShapeError
 
 Array = np.ndarray
-VJP = Callable[[Array], Array]
+# gradient of a node's value -> one gradient per parent, in parent order
+VJP = Callable[[Array], tuple[Array, ...]]
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -57,7 +60,7 @@ _recording = True
 @contextmanager
 def no_grad():
     """Value-only mode for the body of a with statement: Nodes made inside
-    keep no parents or VJPs.  The previous mode comes back on exit, also on
+    keep no parents or VJP.  The previous mode comes back on exit, also on
     an exception, so nested uses restore their outer mode."""
     global _recording
     outer, _recording = _recording, False
@@ -68,17 +71,18 @@ def no_grad():
 
 
 class Node:
-    """One value in the computation graph, with its gradient accumulator."""
+    """One value in the computation graph, with its gradient accumulator.
+    A node with parents has one VJP that returns all their gradients."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    def __init__(self, value, parents: tuple["Node", ...] = (), vjps: tuple[VJP, ...] = ()):
+    def __init__(self, value, parents: tuple["Node", ...] = (), vjp: VJP | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
         if _recording:
-            self._parents, self._vjps = parents, vjps
+            self._parents, self._vjp = parents, vjp
         else:
-            self._parents = self._vjps = ()
+            self._parents, self._vjp = (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,10 +95,7 @@ class Node:
         return Node(
             a.value + b.value,
             (a, b),
-            (
-                lambda g: _unbroadcast(g, a.value.shape),
-                lambda g: _unbroadcast(g, b.value.shape),
-            ),
+            lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
         )
 
     __radd__ = __add__
@@ -104,10 +105,7 @@ class Node:
         return Node(
             a.value - b.value,
             (a, b),
-            (
-                lambda g: _unbroadcast(g, a.value.shape),
-                lambda g: _unbroadcast(-g, b.value.shape),
-            ),
+            lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
         )
 
     def __rsub__(self, other):
@@ -118,10 +116,7 @@ class Node:
         return Node(
             a.value * b.value,
             (a, b),
-            (
-                lambda g: _unbroadcast(g * b.value, a.value.shape),
-                lambda g: _unbroadcast(g * a.value, b.value.shape),
-            ),
+            lambda g: (_unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)),
         )
 
     __rmul__ = __mul__
@@ -131,9 +126,9 @@ class Node:
         return Node(
             a.value / b.value,
             (a, b),
-            (
-                lambda g: _unbroadcast(g / b.value, a.value.shape),
-                lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+            lambda g: (
+                _unbroadcast(g / b.value, a.value.shape),
+                _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
             ),
         )
 
@@ -141,19 +136,19 @@ class Node:
         return as_node(other).__truediv__(self)
 
     def __neg__(self):
-        return Node(-self.value, (self,), (lambda g: -g,))
+        return Node(-self.value, (self,), lambda g: (-g,))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Node":
         in_shape = self.value.shape
         axes = _normalize_axes(axis, self.value.ndim)
 
-        def vjp(g: Array) -> Array:
+        def vjp(g: Array) -> tuple[Array]:
             if not keepdims:
                 for a in sorted(axes):
                     g = np.expand_dims(g, a)
-            return np.broadcast_to(g, in_shape).copy()
+            return (np.broadcast_to(g, in_shape).copy(),)
 
-        return Node(self.value.sum(axis=axes or None, keepdims=keepdims), (self,), (vjp,))
+        return Node(self.value.sum(axis=axes or None, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Node":
         axes = _normalize_axes(axis, self.value.ndim)
@@ -162,22 +157,14 @@ class Node:
 
     def reshape(self, shape) -> "Node":
         in_shape = self.value.shape
-        return Node(
-            self.value.reshape(shape),
-            (self,),
-            (lambda g: g.reshape(in_shape),),
-        )
+        return Node(self.value.reshape(shape), (self,), lambda g: (g.reshape(in_shape),))
 
     def transpose(self, axes=None) -> "Node":
         if axes is None:
             axes = tuple(reversed(range(self.value.ndim)))
         # the inverse permutation is found in the VJP, which value-only
         # forwards never call
-        return Node(
-            self.value.transpose(axes),
-            (self,),
-            (lambda g: g.transpose(np.argsort(axes)),),
-        )
+        return Node(self.value.transpose(axes), (self,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def as_node(x) -> Node:
@@ -189,8 +176,10 @@ def backward(loss: Node) -> None:
     """Populate .grad on every node the scalar `loss` depends on.
 
     Traversal is iterative postorder, so each node is visited exactly once
-    and a node's accumulated gradient is complete before it is pushed to
-    its parents.  Nodes not on any path to the loss keep grad None.
+    and a node's accumulated gradient is complete before its VJP pushes it
+    to its parents, in parent order; a VJP that returns more or fewer
+    gradients than its node has parents raises ValueError.  Nodes not on
+    any path to the loss keep grad None.
     Inside `no_grad` there is no graph to walk, so it raises.
     """
     if not _recording:
@@ -216,11 +205,9 @@ def backward(loss: Node) -> None:
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(order):
-        g = node.grad
-        if g is None:
+        if node.grad is None or not node._parents:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            pg = vjp(g)
+        for parent, pg in zip(node._parents, node._vjp(node.grad), strict=True):
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
 

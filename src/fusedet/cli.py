@@ -61,7 +61,7 @@ def _checksum(path) -> str:
 def cmd_gen(args) -> int:
     model, train, synth, split = _resolve(args)
     _echo(model, train, synth, split)
-    index = generate_synthetic(args.out, synth, seed=train.seed)
+    index = _write_dir_whole(args.out, lambda staging: generate_synthetic(staging, synth, seed=train.seed))
     n_boxes = sum(len(e.boxes) for e in index.entries.values())
     print(f"generated {len(index.entries)} image pairs, {n_boxes} boxes in {args.out}")
     return 0
@@ -142,6 +142,22 @@ def _move_into_place(staging: Path, out: Path) -> None:
         os.replace(staging / name, out / name)
 
 
+def _write_dir_whole(out, write):
+    """write(directory) into a fresh sibling of `out`, then move its files
+    into place (`_move_into_place`): a failed write leaves no new `out` and
+    an existing one as it was.  Returns what `write` returned."""
+    out = Path(os.path.abspath(out))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = _partial_sibling(out)
+    staging.mkdir()
+    try:
+        result = write(staging)
+        _move_into_place(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return result
+
+
 def cmd_train(args) -> int:
     model, train, synth, split = _resolve(args)
     split = _require_split(split)
@@ -153,17 +169,13 @@ def cmd_train(args) -> int:
     store, log = run_training(index, split, model, train, supports[train.support_index])
     protos = precompute_prototypes(index, supports, model, store.nodes())
 
-    out = Path(os.path.abspath(args.out))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    staging = _partial_sibling(out)
-    staging.mkdir()
-    try:
+    def write(staging: Path) -> None:
         store.save(staging / "params.pst")
         save_prototypes(staging / "protos.pst", protos)
         (staging / "log.txt").write_text("".join(f"{line}\n" for line in log))
-        _move_into_place(staging, out)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+
+    _write_dir_whole(args.out, write)
+    out = Path(args.out)
     for line in log[-3:]:
         print(line)
     print(f"params checksum={_checksum(out / 'params.pst')}")

@@ -76,9 +76,9 @@ def matmul(a, b) -> Node:
     return Node(
         av @ bv,
         (a, b),
-        (
-            lambda g: _sum_batch(g @ np.swapaxes(bv, -1, -2), av.ndim),
-            lambda g: _sum_batch(np.swapaxes(av, -1, -2) @ g, bv.ndim),
+        lambda g: (
+            _sum_batch(g @ np.swapaxes(bv, -1, -2), av.ndim),
+            _sum_batch(np.swapaxes(av, -1, -2) @ g, bv.ndim),
         ),
     )
 
@@ -93,19 +93,20 @@ def conv1x1(x, w, b=None) -> Node:
     d = wv.shape[0]
     xf = xv.reshape((*lead, c, h * wdt))
     out = (wv @ xf).reshape((*lead, d, h, wdt))
-    parents = [x, w]
-    vjps = [
-        lambda g: (wv.T @ g.reshape((*lead, d, h * wdt))).reshape(xv.shape),
-        lambda g: _sum_batch(g.reshape((*lead, d, h * wdt)) @ np.swapaxes(xf, -1, -2), 2),
-    ]
+    parents = (x, w)
     if b is not None:
         b = as_node(b)
         if b.value.shape != (d,):
             raise ShapeError(f"conv1x1: bias {b.value.shape} does not match out channels {d}")
         out = out + b.value[:, None, None]
-        parents.append(b)
-        vjps.append(lambda g: _sum_batch(g.sum(axis=(-2, -1)), 1))
-    return Node(out, tuple(parents), tuple(vjps))
+        parents = (x, w, b)
+
+    def vjp(g: np.ndarray) -> tuple:
+        gf = g.reshape((*lead, d, h * wdt))
+        grads = ((wv.T @ gf).reshape(xv.shape), _sum_batch(gf @ np.swapaxes(xf, -1, -2), 2))
+        return grads if b is None else (*grads, _sum_batch(g.sum(axis=(-2, -1)), 1))
+
+    return Node(out, parents, vjp)
 
 
 def depthwise_conv(x, w, stride: int) -> Node:
@@ -131,30 +132,25 @@ def depthwise_conv(x, w, stride: int) -> Node:
     xp = np.zeros((*lead, d, h + 2 * pad, wdt + 2 * pad))
     xp[..., pad : pad + h, pad : pad + wdt] = xv
 
+    # (row, col, strided window of the padded map) for each kernel tap
+    taps = [
+        (a, b, (..., slice(a, a + stride * oh, stride), slice(b, b + stride * ow, stride)))
+        for a in range(k)
+        for b in range(k)
+    ]
     out = np.zeros((*lead, d, oh, ow))
-    for a in range(k):
-        for b in range(k):
-            sl = xp[..., a : a + stride * oh : stride, b : b + stride * ow : stride]
-            out += wv[:, a, b][:, None, None] * sl
+    for a, b, win in taps:
+        out += wv[:, a, b][:, None, None] * xp[win]
 
-    def vjp_x(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         gp = np.zeros_like(xp)
-        for a in range(k):
-            for b in range(k):
-                gp[..., a : a + stride * oh : stride, b : b + stride * ow : stride] += (
-                    wv[:, a, b][:, None, None] * g
-                )
-        return gp[..., pad : pad + h, pad : pad + wdt]
-
-    def vjp_w(g: np.ndarray) -> np.ndarray:
         gw = np.zeros((*lead, *wv.shape))
-        for a in range(k):
-            for b in range(k):
-                sl = xp[..., a : a + stride * oh : stride, b : b + stride * ow : stride]
-                gw[..., a, b] = (g * sl).sum(axis=(-2, -1))
-        return _sum_batch(gw, 3)
+        for a, b, win in taps:
+            gp[win] += wv[:, a, b][:, None, None] * g
+            gw[..., a, b] = (g * xp[win]).sum(axis=(-2, -1))
+        return gp[..., pad : pad + h, pad : pad + wdt], _sum_batch(gw, 3)
 
-    return Node(out, (x, w), (vjp_x, vjp_w))
+    return Node(out, (x, w), vjp)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
@@ -169,37 +165,33 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
     gv = gamma.value[:, None, None]
     out = gv * xhat + beta.value[:, None, None]
 
-    def vjp_x(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         gh = g * gv
-        return istd * (gh - gh.mean(axis=-3, keepdims=True) - xhat * (gh * xhat).mean(axis=-3, keepdims=True))
+        return (
+            istd * (gh - gh.mean(axis=-3, keepdims=True) - xhat * (gh * xhat).mean(axis=-3, keepdims=True)),
+            _sum_batch((g * xhat).sum(axis=(-2, -1)), 1),
+            _sum_batch(g.sum(axis=(-2, -1)), 1),
+        )
 
-    return Node(
-        out,
-        (x, gamma, beta),
-        (
-            vjp_x,
-            lambda g: _sum_batch((g * xhat).sum(axis=(-2, -1)), 1),
-            lambda g: _sum_batch(g.sum(axis=(-2, -1)), 1),
-        ),
-    )
+    return Node(out, (x, gamma, beta), vjp)
 
 
 def relu(x) -> Node:
     x = as_node(x)
     mask = x.value > 0
-    return Node(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
+    return Node(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x) -> Node:
     x = as_node(x)
     s = 1.0 / (1.0 + np.exp(-x.value))
-    return Node(s, (x,), (lambda g: g * s * (1.0 - s),))
+    return Node(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def tanh(x) -> Node:
     x = as_node(x)
     t = np.tanh(x.value)
-    return Node(t, (x,), (lambda g: g * (1.0 - t * t),))
+    return Node(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def gelu(x) -> Node:
@@ -208,7 +200,7 @@ def gelu(x) -> Node:
     xv = x.value
     cdf = 0.5 * (1.0 + erf(xv * _INV_SQRT2))
     pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
-    return Node(xv * cdf, (x,), (lambda g: g * (cdf + xv * pdf),))
+    return Node(xv * cdf, (x,), lambda g: (g * (cdf + xv * pdf),))
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -229,7 +221,7 @@ def softmax(x, axis: int) -> Node:
     """Max-subtracted softmax along one axis; rows sum to 1."""
     x = as_node(x)
     s = _softmax(x.value, axis)
-    return Node(s, (x,), (lambda g: _softmax_vjp(s, g, axis),))
+    return Node(s, (x,), lambda g: (_softmax_vjp(s, g, axis),))
 
 
 def log_softmax(x, axis: int) -> Node:
@@ -238,22 +230,18 @@ def log_softmax(x, axis: int) -> Node:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
     s = np.exp(out)
-    return Node(
-        out,
-        (x,),
-        (lambda g: g - s * g.sum(axis=axis, keepdims=True),),
-    )
+    return Node(out, (x,), lambda g: (g - s * g.sum(axis=axis, keepdims=True),))
 
 
 def sqrt(x) -> Node:
     x = as_node(x)
     r = np.sqrt(x.value)
-    return Node(r, (x,), (lambda g: g * 0.5 / r,))
+    return Node(r, (x,), lambda g: (g * 0.5 / r,))
 
 
 def absolute(x) -> Node:
     x = as_node(x)
-    return Node(np.abs(x.value), (x,), (lambda g: g * np.sign(x.value),))
+    return Node(np.abs(x.value), (x,), lambda g: (g * np.sign(x.value),))
 
 
 def take(x, idx) -> Node:
@@ -264,13 +252,13 @@ def take(x, idx) -> Node:
     xv = x.value
     *lead, _, d = xv.shape
 
-    def vjp(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         dx = np.zeros_like(xv)
         batch = tuple(i[..., None] for i in np.indices(lead, sparse=True))
         np.add.at(dx, (*batch, idx.reshape(-1)), g.reshape((*lead, idx.size, d)))
-        return dx
+        return (dx,)
 
-    return Node(np.take(xv, idx, axis=-2), (x,), (vjp,))
+    return Node(np.take(xv, idx, axis=-2), (x,), vjp)
 
 
 # id(table) -> (weak reference to the table, its scatter matrix).  Keyed by
@@ -311,13 +299,14 @@ def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
     logits q.k * scale -> (..., HW, D).
 
     One Node for the gather, the logits, the softmax and the value mix.
-    Its VJPs make the numpy calls that `take`, `Node.reshape`, `*`,
-    `sum` and `softmax` composed into the same graph would, on the same
-    shapes and layouts, so value and gradients are equal to that graph's
-    bit for bit; the key and value gradients scatter through
-    `_window_scatter(table)` instead of `np.add.at`.  The parent order
-    (q, k, v) keeps that graph's order of accumulation: a map projected
-    to all three receives the v, then the k, then the q gradient.
+    Its VJP returns the q, k and v gradients from one pass, making the
+    numpy calls that `take`, `Node.reshape`, `*`, `sum` and `softmax`
+    composed into the same graph would, on the same shapes and layouts,
+    so value and gradients are equal to that graph's bit for bit; the key
+    and value gradients scatter through `_window_scatter(table)` instead
+    of `np.add.at`.  The parent order (q, k, v) keeps that graph's order
+    of accumulation: a map projected to all three receives the v, then
+    the k, then the q gradient.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -332,19 +321,6 @@ def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
     attn = _softmax((qr * kn).sum(axis=-1) * scale, axis=-1)
     ar = attn.reshape((*lead, n, kk, 1))
 
-    # (g, gradient of the value mix, gradient of the q.k products) for the
-    # last g pushed; backward calls the three VJPs with one g, in order.
-    memo = []
-
-    def chain(g: np.ndarray) -> list:
-        if not memo or memo[0] is not g:
-            g_mix = np.broadcast_to(np.expand_dims(g, -2), products).copy()
-            g_attn = _unbroadcast(g_mix * vn, ar.shape).reshape(attn.shape)
-            g_logits = _softmax_vjp(attn, g_attn, -1) * scale
-            g_dot = np.broadcast_to(np.expand_dims(g_logits, -1), products).copy()
-            memo[:] = (g, g_mix, g_dot)
-        return memo
-
     def scatter(g: np.ndarray, like: np.ndarray) -> np.ndarray:
         """(..., HW, k*k, D) gradients of gathered rows -> (..., HW, D),
         laid out like `like`, as `take`'s buffer is."""
@@ -353,18 +329,18 @@ def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
         dx[...] = np.moveaxis((_window_scatter(table) @ rows).reshape((n, *lead, d)), 0, -2)
         return dx
 
-    def vjp_q(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(chain(g)[2] * kn, qr.shape).reshape(qv.shape)
+    def vjp(g: np.ndarray) -> tuple:
+        g_mix = np.broadcast_to(np.expand_dims(g, -2), products).copy()
+        g_attn = _unbroadcast(g_mix * vn, ar.shape).reshape(attn.shape)
+        g_logits = _softmax_vjp(attn, g_attn, -1) * scale
+        g_dot = np.broadcast_to(np.expand_dims(g_logits, -1), products).copy()
+        return (
+            _unbroadcast(g_dot * kn, qr.shape).reshape(qv.shape),
+            scatter(g_dot * qr, kv),
+            scatter(g_mix * ar, vv),
+        )
 
-    def vjp_k(g: np.ndarray) -> np.ndarray:
-        return scatter(chain(g)[2] * qr, kv)
-
-    def vjp_v(g: np.ndarray) -> np.ndarray:
-        g_mix = chain(g)[1]
-        memo.clear()
-        return scatter(g_mix * ar, vv)
-
-    return Node((ar * vn).sum(axis=-2), (q, k, v), (vjp_q, vjp_k, vjp_v))
+    return Node((ar * vn).sum(axis=-2), (q, k, v), vjp)
 
 
 def _slot_attention(queries: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
@@ -385,13 +361,13 @@ def aggregate(x, keys, gate, w, enc: np.ndarray, w1, b1, w2, b2, scale: float, f
 
     One Node for the scores, softmax, gate, encodings and FFN, with
     parents (x, keys, gate, w, w1, b1, w2, b2); `enc` gets no gradient.
-    Its VJPs make the numpy calls that `map_to_tokens`, `matmul`,
-    `Node.transpose`, `*`, `softmax`, `+`, `relu` and `tokens_to_map`
-    composed into the same graph would, on the same shapes and layouts,
-    so value and gradients are equal to that graph's bit for bit.  keys
-    comes before gate among the parents, as the scores come before the
-    gate in that graph: a prototype row feeding both gets the gate's
-    gradient first.
+    Its VJP returns all eight gradients from one pass, making the numpy
+    calls that `map_to_tokens`, `matmul`, `Node.transpose`, `*`,
+    `softmax`, `+`, `relu` and `tokens_to_map` composed into the same
+    graph would, on the same shapes and layouts, so value and gradients
+    are equal to that graph's bit for bit.  keys comes before gate among
+    the parents, as the scores come before the gate in that graph: a
+    prototype row feeding both gets the gate's gradient first.
     """
     x, keys, gate, w, w1, b1, w2, b2 = (as_node(a) for a in (x, keys, gate, w, w1, b1, w2, b2))
     xv, kv, gv, wv, w1v, w2v = x.value, keys.value, gate.value, w.value, w1.value, w2.value
@@ -409,41 +385,29 @@ def aggregate(x, keys, gate, w, enc: np.ndarray, w1, b1, w2, b2, scale: float, f
     hidden = np.where(mask, pre, 0.0)
     out = (hidden @ w2v + b2.value).reshape((h, wd, d)).transpose((2, 0, 1))
 
-    # the gradients of the eight parents for the last g pushed; backward
-    # calls the VJPs with one g, in parent order
-    memo: dict = {}
+    def vjp(g: np.ndarray) -> tuple:
+        g_out = g.transpose((1, 2, 0)).reshape((n, d))
+        g_pre = (g_out @ np.swapaxes(w2v, -1, -2)) * mask
+        g_z = g_pre @ np.swapaxes(w1v, -1, -2)
+        g_mix = g_z * tokens if filter_gate else g_z
+        g_attn = g_z @ np.swapaxes(enc, -1, -2) + g_mix @ np.swapaxes(gv, -1, -2)
+        g_scores = _softmax_vjp(attn, g_attn, 1) * scale
+        g_qp = g_scores @ kv
+        g_tokens = g_qp @ np.swapaxes(wv, -1, -2)
+        if filter_gate:
+            g_tokens = g_z * mix + g_tokens
+        return (
+            g_tokens.reshape((h, wd, d)).transpose((2, 0, 1)),
+            (np.swapaxes(qp, -1, -2) @ g_scores).transpose((1, 0)),
+            np.swapaxes(attn, -1, -2) @ g_mix,
+            np.swapaxes(tokens, -1, -2) @ g_qp,
+            np.swapaxes(z, -1, -2) @ g_pre,
+            _unbroadcast(g_pre, b1.value.shape),
+            np.swapaxes(hidden, -1, -2) @ g_out,
+            _unbroadcast(g_out, b2.value.shape),
+        )
 
-    def chain(g: np.ndarray) -> dict:
-        if memo.get("g") is not g:
-            g_out = g.transpose((1, 2, 0)).reshape((n, d))
-            g_pre = (g_out @ np.swapaxes(w2v, -1, -2)) * mask
-            g_z = g_pre @ np.swapaxes(w1v, -1, -2)
-            g_mix = g_z * tokens if filter_gate else g_z
-            g_attn = g_z @ np.swapaxes(enc, -1, -2) + g_mix @ np.swapaxes(gv, -1, -2)
-            g_scores = _softmax_vjp(attn, g_attn, 1) * scale
-            g_qp = g_scores @ kv
-            g_tokens = g_qp @ np.swapaxes(wv, -1, -2)
-            if filter_gate:
-                g_tokens = g_z * mix + g_tokens
-            memo.clear()
-            memo.update(
-                g=g,
-                x=g_tokens.reshape((h, wd, d)).transpose((2, 0, 1)),
-                keys=(np.swapaxes(qp, -1, -2) @ g_scores).transpose((1, 0)),
-                gate=np.swapaxes(attn, -1, -2) @ g_mix,
-                w=np.swapaxes(tokens, -1, -2) @ g_qp,
-                w1=np.swapaxes(z, -1, -2) @ g_pre,
-                b1=_unbroadcast(g_pre, b1.value.shape),
-                w2=np.swapaxes(hidden, -1, -2) @ g_out,
-                b2=_unbroadcast(g_out, b2.value.shape),
-            )
-        return memo
-
-    def vjp(name: str):
-        return lambda g: chain(g)[name]
-
-    names = ("x", "keys", "gate", "w", "w1", "b1", "w2", "b2")
-    return Node(out, (x, keys, gate, w, w1, b1, w2, b2), tuple(vjp(name) for name in names))
+    return Node(out, (x, keys, gate, w, w1, b1, w2, b2), vjp)
 
 
 def cosine_cross_entropy(unit_rows, weights, labels: np.ndarray, alpha: float) -> Node:
@@ -452,11 +416,12 @@ def cosine_cross_entropy(unit_rows, weights, labels: np.ndarray, alpha: float) -
     scalar.  A zero-norm weight row raises NumericGuardError.
 
     One Node for the weight normalisation, logits, log-softmax and label
-    pick, with parents (unit_rows, weights).  Its VJPs make the numpy calls
-    that `*`, `Node.sum`, `sqrt`, `/`, `Node.transpose`, `matmul` and
-    `log_softmax` composed into the same graph would, on the same shapes
-    and layouts, and sum a weight row's three parts in that graph's order,
-    so value and gradients are equal to that graph's bit for bit.
+    pick, with parents (unit_rows, weights).  Its VJP returns both
+    gradients from one pass, making the numpy calls that `*`, `Node.sum`,
+    `sqrt`, `/`, `Node.transpose`, `matmul` and `log_softmax` composed into
+    the same graph would, on the same shapes and layouts, and sums a
+    weight row's three parts in that graph's order, so value and gradients
+    are equal to that graph's bit for bit.
     """
     unit_rows, weights = as_node(unit_rows), as_node(weights)
     uv, wv = unit_rows.value, weights.value
@@ -474,51 +439,23 @@ def cosine_cross_entropy(unit_rows, weights, labels: np.ndarray, alpha: float) -
     picked = np.zeros(logits.shape)
     picked[np.arange(c), labels] = 1.0
     mean = -1.0 / c
-    memo: dict = {}
 
-    def chain(g: np.ndarray) -> dict:
-        if memo.get("g") is not g:
-            g_logp = np.broadcast_to(np.expand_dims(g * mean, (0, 1)), logits.shape).copy() * picked
-            g_logits = (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)) * alpha
-            g_wn = (np.swapaxes(uv, -1, -2) @ g_logits).transpose((1, 0))
-            g_norm = _unbroadcast(-g_wn * wv / (norm * norm), norm.shape)
-            g_sq = np.broadcast_to(g_norm * 0.5 / norm, wv.shape).copy() * wv
-            memo.clear()
-            memo.update(
-                g=g,
-                rows=g_logits @ np.swapaxes(wnt, -1, -2),
-                weights=(g_wn / norm + g_sq) + g_sq,
-            )
-        return memo
+    def vjp(g: np.ndarray) -> tuple:
+        g_logp = np.broadcast_to(np.expand_dims(g * mean, (0, 1)), logits.shape).copy() * picked
+        g_logits = (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)) * alpha
+        g_wn = (np.swapaxes(uv, -1, -2) @ g_logits).transpose((1, 0))
+        g_norm = _unbroadcast(-g_wn * wv / (norm * norm), norm.shape)
+        g_sq = np.broadcast_to(g_norm * 0.5 / norm, wv.shape).copy() * wv
+        return g_logits @ np.swapaxes(wnt, -1, -2), (g_wn / norm + g_sq) + g_sq
 
-    return Node(
-        (logp * picked).sum(axis=(0, 1)) * mean,
-        (unit_rows, weights),
-        (lambda g: chain(g)["rows"], lambda g: chain(g)["weights"]),
-    )
+    return Node((logp * picked).sum(axis=(0, 1)) * mean, (unit_rows, weights), vjp)
 
 
 def concat(parts, axis: int) -> Node:
-    parts = [as_node(p) for p in parts]
+    parts = tuple(as_node(p) for p in parts)
     values = [p.value for p in parts]
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i: int):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g: np.ndarray) -> np.ndarray:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return vjp
-
-    return Node(
-        np.concatenate(values, axis=axis),
-        tuple(parts),
-        tuple(make_vjp(i) for i in range(len(parts))),
-    )
+    cuts = np.cumsum([v.shape[axis] for v in values[:-1]])
+    return Node(np.concatenate(values, axis=axis), parts, lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def map_to_tokens(m) -> Node:
@@ -547,16 +484,16 @@ def unstack(x) -> list[Node]:
     n = x.value.shape[0]
 
     def make_vjp(i: int):
-        def vjp(g: np.ndarray) -> np.ndarray:
+        def vjp(g: np.ndarray) -> tuple:
             order = np.argsort(g.strides, kind="stable")[::-1]
             full = np.zeros((n, *(g.shape[a] for a in order)))
             full = full.transpose((0, *(1 + np.argsort(order))))
             full[i] = g
-            return full
+            return (full,)
 
         return vjp
 
-    return [Node(x.value[i], (x,), (make_vjp(i),)) for i in range(n)]
+    return [Node(x.value[i], (x,), make_vjp(i)) for i in range(n)]
 
 
 def pixel_coords(coords_norm: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -605,20 +542,17 @@ def bilinear_sample(x, coords) -> Node:
     for val, weight, _, _ in corners:
         out += weight * val
 
-    def vjp_x(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         buf = np.zeros((*lead, h * w, d))
         for _, weight, flat, valid in corners:
             contrib = np.swapaxes(g * weight, -1, -2)[valid]
             np.add.at(buf, (*np.nonzero(valid)[:-1], flat[valid]), contrib)
-        return np.swapaxes(buf, -1, -2).reshape(xv.shape)
-
-    def vjp_coords(g: np.ndarray) -> np.ndarray:
         v00, v01, v10, v11 = (c[0] for c in corners)
         wx_, wy_ = wx[..., None, :], wy[..., None, :]
         dval_dwx = (1.0 - wy_) * (v01 - v00) + wy_ * (v11 - v10)
         dval_dwy = (1.0 - wx_) * (v10 - v00) + wx_ * (v11 - v01)
         gx = (g * dval_dwx).sum(axis=-2) * 0.5 * (w - 1)
         gy = (g * dval_dwy).sum(axis=-2) * 0.5 * (h - 1)
-        return np.stack([gx, gy], axis=-2)
+        return np.swapaxes(buf, -1, -2).reshape(xv.shape), np.stack([gx, gy], axis=-2)
 
-    return Node(out, (x, coords), (vjp_x, vjp_coords))
+    return Node(out, (x, coords), vjp)

@@ -1,10 +1,11 @@
 """The audit registry can be seen to fail.
 
 Every registered oracle check has a fault here that breaks what the check
-guards, and only that row may report FAIL under it.  Every VJP of the op
-layer and of Node arithmetic has a mutant that scales it by 1.01; each
-mutant is run against the cheapest gradient family that reaches it, and the
-gradient audit must flag it.
+guards, and only that row may report FAIL under it.  Every parent slot of
+the op layer's and of Node arithmetic's VJPs has a mutant that scales the
+gradient returned for it by 1.01; each mutant is run against the cheapest
+gradient family that reaches it, and the gradient audit must flag it;
+`selftest` must fail exactly the rows whose gradient checks reach it.
 """
 import numpy as np
 import pytest
@@ -14,15 +15,16 @@ from fusedet.autodiff import Node, as_node, grad_check, no_grad
 
 
 def scaled_vjp(fn, slot: int):
-    """`fn` with the VJP of its result's parent `slot` scaled by 1.01."""
+    """`fn` with the gradient its result's VJP returns for parent `slot`
+    scaled by 1.01."""
 
     def mutant(*args, **kwargs):
         out = fn(*args, **kwargs)
         for node in out if isinstance(out, list) else [out]:
-            if slot < len(node._vjps):  # value-only nodes keep no VJPs
-                vjps = list(node._vjps)
-                vjps[slot] = lambda g, inner=vjps[slot]: 1.01 * inner(g)
-                node._vjps = tuple(vjps)
+            if slot < len(node._parents):  # value-only nodes keep no VJP
+                node._vjp = lambda g, inner=node._vjp: tuple(
+                    1.01 * pg if i == slot else pg for i, pg in enumerate(inner(g))
+                )
         return out
 
     return mutant
@@ -96,6 +98,12 @@ UNSEEN = {
 }
 
 
+# The slots the softmax row's gradient check, (softmax(x) * probe).sum(),
+# runs: a mutant there fails that row as well, and the softmax mutant
+# fails it alone, since no selftest gradient family calls `ops.softmax`.
+SOFTMAX_ROW = {("softmax", 0), ("Node.__mul__", 0), ("Node.sum", 0)}
+
+
 @pytest.fixture(scope="module")
 def families(tmp_path_factory):
     """(store, build) of each gradient family at its first verified seed."""
@@ -113,8 +121,29 @@ def test_vjp_mutant_is_caught(op, slot, families, monkeypatch):
     install_mutant(monkeypatch, op, slot)
     store, build = families[family]
     assert grad_check(build, store, keys=[key]) > audit.GRAD_TOL
-    if family in audit.SELFTEST_FAMILIES:
-        assert failing(audit.run_selftests()) == ["vjp-vs-central-differences"]
+    rows = ["softmax-normalization"] * ((op, slot) in SOFTMAX_ROW)
+    rows += ["vjp-vs-central-differences"] * (family in audit.SELFTEST_FAMILIES)
+    if rows:
+        assert failing(audit.run_selftests()) == rows
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in audit.AUDIT_CASES])
+def test_every_vjp_returns_one_gradient_per_parent(name, families):
+    """Each node of a family's graph has one VJP, which returns exactly one
+    gradient per parent, shaped like that parent."""
+    store, build = families[name]
+    seen, stack, checked = set(), [build(store.nodes())], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        grads = node._vjp(np.ones(node.shape))
+        assert isinstance(grads, tuple) and len(grads) == len(node._parents)
+        assert [np.shape(pg) for pg in grads] == [p.shape for p in node._parents]
+        stack.extend(node._parents)
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in audit.AUDIT_CASES])

@@ -97,7 +97,7 @@ class TestNodeShaping:
         to the array, as a view of the same buffer."""
         x = np.arange(120.0).reshape(2, 3, 4, 5)
         t = Node(x).transpose(axes)
-        back = t._vjps[0](t.value)
+        (back,) = t._vjp(t.value)
         assert back.shape == x.shape and np.array_equal(back, x) and np.shares_memory(back, x)
 
 
@@ -121,6 +121,12 @@ class TestBackward:
             x = x + 1.0
         backward(x)
         assert np.allclose(a.grad, 1.0)
+
+    def test_vjp_with_a_gradient_too_few_raises(self):
+        a, b = Node(np.array(2.0)), Node(np.array(3.0))
+        out = Node(a.value * b.value, (a, b), lambda g: (g * b.value,))
+        with pytest.raises(ValueError, match="shorter"):
+            backward(out)
 
     def test_shared_subgraph(self):
         a = Node(np.array(2.0))
@@ -231,7 +237,7 @@ class TestNoGrad:
         with no_grad():
             b = (a * 3.0).sum()
         assert b.value == 9.0
-        assert b._parents == () and b._vjps == ()
+        assert b._parents == () and b._vjp is None
 
     def test_backward_inside_raises(self):
         a = Node(np.array(2.0))
@@ -286,7 +292,7 @@ class TestGradCheck:
 
         def bad(p):
             w = p["w"]
-            return Node(w.value.sum() ** 2, (w,), (lambda g: g * np.ones(1),))
+            return Node(w.value.sum() ** 2, (w,), lambda g: (g * np.ones(1),))
 
         err = grad_check(bad, store)
         assert err > 1e-2

@@ -493,6 +493,50 @@ class TestInferAndFuseOutputWholeOrAbsent:
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
+class TestGenOutputWholeOrAbsent:
+    """`gen` writes its dataset into a sibling directory and moves it into
+    place only once every file is written."""
+
+    @staticmethod
+    def fail_third_map(monkeypatch):
+        write_map, calls = fmp.write_map, []
+
+        def third_fails(path, m):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(f"no space left to write {path}")
+            write_map(path, m)
+
+        monkeypatch.setattr(fmp, "write_map", third_fails)
+        return calls
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_map_write_leaves_no_output(self, existing, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data"
+        earlier = {"index.txt": b"earlier index", "notes.txt": b"kept"}
+        if existing:
+            out.mkdir()
+            for name, data in earlier.items():
+                (out / name).write_bytes(data)
+        calls = self.fail_third_map(monkeypatch)
+        code, _, err = run(capsys, "gen", "--out", str(out), "--seed", "0", "--config", write_cfg(tmp_path))
+        assert code == 1 and "no space left" in err and len(calls) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["data", "run.cfg"] if existing else ["run.cfg"])
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_existing_out_gets_the_same_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        outs = [tmp_path / "fresh", tmp_path / "existing"]
+        outs[1].mkdir()
+        (outs[1] / "notes.txt").write_text("kept")
+        for out in outs:
+            assert run(capsys, "gen", "--out", str(out), "--seed", "0", "--config", cfg)[0] == 0
+        fresh, existing = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+        assert existing == {**fresh, "notes.txt": b"kept"}
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
 class TestCorruptPrototypes:
     """Every malformed prototype file exits with its documented code."""
 
