@@ -1,9 +1,9 @@
-"""Every self-check, once.  AUDIT_CASES: gradient builders mapping (seed,
-root) to a parameter store and a function from its leaf nodes to a scalar
-loss (`root`, a scratch directory for a case's dataset), audited at GRAD_TOL
-by criterion 03 on every seed and by `gradcheck` on one seed a row.  CHECKS:
-oracle checks at one size, each raising on failure and otherwise returning
-its figures, run by `selftest` and printed by criteria 01, 02, 04 and 05.
+"""Every self-check, once.  AUDIT_CASES: gradient builders mapping a seed
+to a parameter store and a function from its leaf nodes to a scalar loss,
+built in memory, audited at GRAD_TOL by criterion 03 on every seed and by
+`gradcheck` on one seed a row.  CHECKS: oracle checks at one size, each
+raising on failure and otherwise returning its figures, run by `selftest`
+and printed by criteria 01, 02, 04 and 05.
 """
 from __future__ import annotations
 
@@ -13,20 +13,20 @@ from pathlib import Path
 import numpy as np
 
 from . import deformable, fmp, ops, prototypes  # via the module, so a fault put there reaches the checks
-from .autodiff import Node, ParamStore, as_node, backward, grad_check
+from .autodiff import Node, ParamStore, grad_check
 from .data import SplitSpec, build_supports, load_index, sample_episode
 from .deformable import CDAConfig, FusionConfig, cda_forward, fusion_forward, init_cda_params, init_fusion_params
 from .evaluation import Box, Detection, GroundTruth, average_precision
 from .model import ModelConfig, init_params
 from .neighborhood import NAConfig, init_na_params, na_forward, neighborhood
 from .prototypes import PrototypeSet, cam_forward, cosine_ce_loss, init_cam_params
-from .synth import SynthConfig, generate_synthetic
+from .synth import SynthConfig, generate_synthetic, synthesize
 from .training import TrainConfig, train_loss
 
 GRAD_TOL = 1e-6
 
 
-def window_case(seed: int, root: Path):
+def window_case(seed: int):
     """Window attention on a 3-channel 4x4 map under a random probe."""
     rng = np.random.default_rng(seed)
     d = 3
@@ -38,7 +38,7 @@ def window_case(seed: int, root: Path):
     return store, lambda p: (na_forward(x, cfg, p, "na") * probe).sum()
 
 
-def fusion_case(seed: int, root: Path):
+def fusion_case(seed: int):
     """Full fusion (window attention, deformable cross-attention and the
     thermal-first mix) on two 4x4 maps under a random probe.
 
@@ -68,7 +68,7 @@ def fusion_case(seed: int, root: Path):
     return store, build
 
 
-def aggregation_case(seed: int, root: Path):
+def aggregation_case(seed: int):
     """Class-aware aggregation of a 4-channel 3x3 query map against two
     prototypes under a random probe, plus the cosine meta loss."""
     rng = np.random.default_rng(seed)
@@ -90,10 +90,10 @@ def aggregation_case(seed: int, root: Path):
     return store, build
 
 
-def training_case(seed: int, root: Path):
+def training_case(seed: int):
     """The full training loss on one tiny fine-tune episode.
 
-    Builds a fixed four-channel synthetic dataset under `root`, one
+    Builds a fixed four-channel synthetic dataset in memory, one
     fine-tune episode, and a parameter store, all determined by `seed`.
     Attention projections are redrawn at a larger scale than the
     training init: with near-uniform attention the per-entry gradients
@@ -107,7 +107,7 @@ def training_case(seed: int, root: Path):
         classes=2, images=8, channels=4, height=4, width=4,
         max_objects=1, noise=0.1, min_size=2.0, max_size=3.0, amplitude=3.0,
     )
-    index = generate_synthetic(root, scfg, seed=0)
+    index = synthesize(scfg, 0, "pair", Path("."))
     split = SplitSpec(base_classes=(0,), novel_classes=(1,))
     supports = build_supports(index, split, k=2, n_seeds=1)
     cfg = ModelConfig(
@@ -151,19 +151,11 @@ AUDIT_CASES = (
 )
 
 
-def zero_grad_keys(build, store: ParamStore) -> list[str]:
-    """The keys whose analytic gradient is zero in every entry: a grad_check
-    over them compares zero with zero and shows nothing."""
-    nodes = store.nodes()
-    backward(build(nodes))
-    return [k for k in store.keys() if nodes[k].grad is None or not np.any(nodes[k].grad)]
-
-
-def gradcheck_cases(seed: int, root: Path):
+def gradcheck_cases(seed: int):
     """(name, store, build) for each family, at its verified seed number
     `seed` modulo the family's seed count."""
     for name, case, seeds in AUDIT_CASES:
-        yield (name, *case(seeds[seed % len(seeds)], root))
+        yield (name, *case(seeds[seed % len(seeds)]))
 
 
 def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=0.0) -> np.ndarray:
@@ -345,7 +337,7 @@ def check_gradients() -> str:
     errs = {}
     for name, case, seeds in AUDIT_CASES:
         if name in SELFTEST_FAMILIES:
-            store, build = case(seeds[0], None)  # neither family writes a dataset
+            store, build = case(seeds[0])
             errs[name] = grad_check(build, store)
     detail = ", ".join(f"{name} {err:.3e}" for name, err in errs.items())
     assert max(errs.values()) <= GRAD_TOL, f"analytic and central-difference gradients differ: {detail}"
@@ -365,31 +357,13 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("vjp-vs-central-differences", check_gradients),
 )
 
-FAULTS = ("softmax",)
 
-
-def _corrupt_softmax(x, axis):
-    x = as_node(x)
-    e = np.exp(x.value - x.value.max(axis=axis, keepdims=True))
-    return Node(e / e.sum(axis=axis, keepdims=True) + 0.01, (x,), lambda g: (g * 0.0,))
-
-
-def run_selftests(inject_fault: str | None = None) -> list[tuple[str, bool, str]]:
-    """(name, passed, figures or failure) per registered check.
-    inject_fault="softmax" swaps in a broken softmax for the duration, to
-    show that the checks catch it."""
-    if inject_fault not in (None, *FAULTS):
-        raise ValueError(f"unknown fault {inject_fault!r}; expected one of {FAULTS}")
-    original = ops.softmax
-    if inject_fault == "softmax":
-        ops.softmax = _corrupt_softmax
+def run_selftests() -> list[tuple[str, bool, str]]:
+    """(name, passed, figures or failure) per registered check."""
     results = []
-    try:
-        for name, fn in CHECKS:
-            try:
-                results.append((name, True, fn()))
-            except Exception as exc:  # noqa: BLE001 - report, never crash the runner
-                results.append((name, False, f"{type(exc).__name__}: {exc}"))
-        return results
-    finally:
-        ops.softmax = original
+    for name, fn in CHECKS:
+        try:
+            results.append((name, True, fn()))
+        except Exception as exc:  # noqa: BLE001 - report, never crash the runner
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
+    return results

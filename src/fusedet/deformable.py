@@ -61,7 +61,7 @@ def reference_grid(h: int, w: int, r: int) -> np.ndarray:
     """Uniform lattice of (H/r)*(W/r) points at the cell centers of the
     downsampled partition, as normalized coords (2, N), row-major.
 
-    Cached per geometry; callers treat the result as read-only.
+    Cached per geometry, so read-only.
     """
     if r < 1 or h % r or w % r:
         raise PreconditionError(f"map sides ({h}, {w}) not divisible by stride {r}")
@@ -69,7 +69,9 @@ def reference_grid(h: int, w: int, r: int) -> np.ndarray:
     ys = (np.arange(hg) + 0.5) * r - 0.5
     xs = (np.arange(wg) + 0.5) * r - 0.5
     py, px = np.meshgrid(ys, xs, indexing="ij")
-    return normalize_coords(px.reshape(-1), py.reshape(-1), h, w)
+    grid = normalize_coords(px.reshape(-1), py.reshape(-1), h, w)
+    grid.setflags(write=False)
+    return grid
 
 
 def init_cda_params(store: ParamStore, prefix: str, cfg: CDAConfig) -> None:

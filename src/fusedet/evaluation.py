@@ -5,6 +5,7 @@ interchange files.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from math import inf
 
@@ -144,6 +145,9 @@ def nap50(dets: list[Detection], gts: list[GroundTruth], novel_class_ids) -> flo
     ids = list(novel_class_ids)
     if not ids:
         raise PreconditionError("novel class set is empty")
+    repeated = sorted(c for c, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise PreconditionError(f"novel class ids given more than once: {repeated}")
     return float(np.mean([average_precision(dets, gts, c, 0.5) for c in ids]))
 
 

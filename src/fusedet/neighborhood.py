@@ -48,12 +48,13 @@ def neighborhood(i: int, j: int, h: int, w: int, k: int) -> list[tuple[int, int]
 def neighbor_table(h: int, w: int, k: int) -> np.ndarray:
     """Flat key indices for every query location: int array (H*W, k*k).
 
-    Cached per map geometry; callers treat the result as read-only.
+    Cached per map geometry, so read-only.
     """
     table = np.empty((h * w, k * k), dtype=np.int64)
     for i in range(h):
         for j in range(w):
             table[i * w + j] = [a * w + b for a, b in neighborhood(i, j, h, w, k)]
+    table.setflags(write=False)
     return table
 
 

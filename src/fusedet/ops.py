@@ -217,6 +217,15 @@ def _softmax_vjp(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def _log_softmax_vjp(logp: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return g - np.exp(logp) * g.sum(axis=axis, keepdims=True)
+
+
 def softmax(x, axis: int) -> Node:
     """Max-subtracted softmax along one axis; rows sum to 1."""
     x = as_node(x)
@@ -226,11 +235,8 @@ def softmax(x, axis: int) -> Node:
 
 def log_softmax(x, axis: int) -> Node:
     x = as_node(x)
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    s = np.exp(out)
-    return Node(out, (x,), lambda g: (g - s * g.sum(axis=axis, keepdims=True),))
+    logp = _log_softmax(x.value, axis)
+    return Node(logp, (x,), lambda g: (_log_softmax_vjp(logp, g, axis),))
 
 
 def sqrt(x) -> Node:
@@ -434,15 +440,14 @@ def cosine_cross_entropy(unit_rows, weights, labels: np.ndarray, alpha: float) -
     norm = np.sqrt(sq)
     wnt = (wv / norm).transpose((1, 0))
     logits = (uv @ wnt) * alpha
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = _log_softmax(logits, 1)
     picked = np.zeros(logits.shape)
     picked[np.arange(c), labels] = 1.0
     mean = -1.0 / c
 
     def vjp(g: np.ndarray) -> tuple:
         g_logp = np.broadcast_to(np.expand_dims(g * mean, (0, 1)), logits.shape).copy() * picked
-        g_logits = (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)) * alpha
+        g_logits = _log_softmax_vjp(logp, g_logp, 1) * alpha
         g_wn = (np.swapaxes(uv, -1, -2) @ g_logits).transpose((1, 0))
         g_norm = _unbroadcast(-g_wn * wv / (norm * norm), norm.shape)
         g_sq = np.broadcast_to(g_norm * 0.5 / norm, wv.shape).copy() * wv

@@ -100,14 +100,11 @@ def _random_box(cfg: SynthConfig, rng: np.random.Generator) -> Box:
     return Box(x1, y1, x1 + bw, y1 + bh)
 
 
-def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "pair") -> DatasetIndex:
-    """Write map pairs (one container file per map), the annotation index, and a ground-truth
-    interchange file under out_dir; return the in-memory index.  Every map is
-    checked finite before out_dir is made, so a non-finite one leaves nothing."""
-    out = Path(out_dir)
+def synthesize(cfg: SynthConfig, seed: int, prefix: str, root: Path) -> DatasetIndex:
+    """The dataset in memory: an index whose entries name their map files
+    under `root` (which need not exist) and whose pairs are already loaded."""
     rng = np.random.default_rng((seed, 424242))
     index = DatasetIndex()
-    maps = []  # (path, map) in write order
     for i in range(cfg.images):
         image_id = f"{prefix}{i:04d}"
         n_obj = int(rng.integers(1, cfg.max_objects + 1))
@@ -115,11 +112,19 @@ def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "
         for _ in range(n_obj):
             class_id = int(rng.integers(cfg.classes))
             records.append(GroundTruth(_random_box(cfg, rng), class_id, image_id))
-        rgb, ir = render_pair(cfg, records, rng)
-        rgb_path = out / f"{image_id}_rgb.fmp"
-        ir_path = out / f"{image_id}_ir.fmp"
-        maps += [(rgb_path, rgb), (ir_path, ir)]
-        index.add(IndexEntry(image_id=image_id, rgb_path=rgb_path, ir_path=ir_path, boxes=records, condition="clean"))
+        index.add(IndexEntry(image_id, root / f"{image_id}_rgb.fmp", root / f"{image_id}_ir.fmp", records, "clean"))
+        index._cache[image_id] = render_pair(cfg, records, rng)
+    return index
+
+
+def generate_synthetic(out_dir, cfg: SynthConfig, seed: int = 0, prefix: str = "pair") -> DatasetIndex:
+    """Write map pairs (one container file per map), the annotation index, and a ground-truth
+    interchange file under out_dir; return the in-memory index.  Every map is
+    checked finite before out_dir is made, so a non-finite one leaves nothing."""
+    out = Path(out_dir)
+    index = synthesize(cfg, seed, prefix, out)
+    maps = [(path, m) for e in index.entries.values()
+            for path, m in zip((e.rgb_path, e.ir_path), index.load_pair(e.image_id))]
     for path, m in maps:
         fmp.require_finite(path, {"map": m})
     out.mkdir(parents=True, exist_ok=True)

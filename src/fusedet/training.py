@@ -332,19 +332,11 @@ def detect_over(
     protos: PrototypeSet,
     cfg: ModelConfig,
     params: dict[str, Node],
-    ablate=None,
 ) -> list[Detection]:
-    """Run inference over a set of index images, in image id order.
-
-    `ablate` optionally rewrites the (rgb, ir) pair before the pipeline,
-    for modality knock-out comparisons.
-    """
+    """Run inference over a set of index images, in image id order."""
     dets: list[Detection] = []
     for image_id in sorted(image_ids):
-        rgb, ir = index.load_pair(image_id)
-        if ablate is not None:
-            rgb, ir = ablate(rgb, ir)
-        dets.extend(infer(rgb, ir, protos, cfg, params, image_id))
+        dets.extend(infer(*index.load_pair(image_id), protos, cfg, params, image_id))
     return dets
 
 

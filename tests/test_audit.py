@@ -6,12 +6,16 @@ the op layer's and of Node arithmetic's VJPs has a mutant that scales the
 gradient returned for it by 1.01; each mutant is run against the cheapest
 gradient family that reaches it, and the gradient audit must flag it;
 `selftest` must fail exactly the rows whose gradient checks reach it.
+These are the only faults the project injects: the library has no fault
+switch of its own.
 """
 import numpy as np
 import pytest
 
 from fusedet import audit, data, deformable, evaluation, fmp, neighborhood, ops, prototypes
 from fusedet.autodiff import Node, as_node, grad_check, no_grad
+
+from conftest import off_normalization
 
 
 def scaled_vjp(fn, slot: int):
@@ -105,10 +109,9 @@ SOFTMAX_ROW = {("softmax", 0), ("Node.__mul__", 0), ("Node.sum", 0)}
 
 
 @pytest.fixture(scope="module")
-def families(tmp_path_factory):
+def families():
     """(store, build) of each gradient family at its first verified seed."""
-    root = tmp_path_factory.mktemp("families")
-    return {name: case(seeds[0], root / name) for name, case, seeds in audit.AUDIT_CASES}
+    return {name: case(seeds[0]) for name, case, seeds in audit.AUDIT_CASES}
 
 
 def failing(results) -> list[str]:
@@ -167,19 +170,6 @@ def test_every_op_has_a_mutant():
     covered = {op for op, _ in MUTANTS} | {op for op, _ in UNSEEN}
     assert public <= covered
     assert not set(MUTANTS) & set(UNSEEN)
-
-
-def off_normalization(monkeypatch):
-    """Softmax rows sum to 1 + 4e-12: below what the attention oracles'
-    1e-10 resolves, above the normalization check's 1e-12."""
-    softmax = ops.softmax
-
-    def skewed(x, axis):
-        out = softmax(x, axis)
-        out.value = out.value * (1.0 + 4e-12)
-        return out
-
-    monkeypatch.setattr(ops, "softmax", skewed)
 
 
 def misplaced_window(monkeypatch):

@@ -1,14 +1,13 @@
 import os
 import subprocess
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import write_non_finite
+from conftest import off_normalization, write_non_finite
 import fusedet
 from fusedet import audit, cli, fmp
 from fusedet.autodiff import ParamStore
@@ -649,6 +648,16 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "x")
         assert code == 2 and "--novel" in err
 
+    def test_repeated_novel_id_exits_2(self, tmp_path, capsys):
+        """A repeated id would count its class twice in nAP50."""
+        gp = tmp_path / "gts.txt"
+        write_ground_truths(gp, [GroundTruth(box=Box(0, 0, 2, 2), class_id=c, image_id="a") for c in (1, 2)])
+        dp = tmp_path / "dets.txt"
+        write_detections(dp, [Detection(box=Box(0, 0, 2, 2), score=0.9, class_id=2, image_id="a")])
+        code, out, err = run(capsys, "eval", "--dets", str(dp), "--gts", str(gp), "--novel", "1,2,2")
+        assert code == 2 and "more than once: [2]" in err
+        assert "AP" not in out
+
 
 class TestNonFiniteIndexBox:
     """A NaN or infinity in an index box is rejected when the index is
@@ -838,39 +847,50 @@ class TestSelftest:
         assert [l.split()[1] for l in lines if l.startswith("PASS")] == [name for name, _ in audit.CHECKS]
         assert lines[-1] == f"{len(audit.CHECKS)}/{len(audit.CHECKS)} checks passed"
 
-    def test_injected_softmax_fault_caught(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--inject-fault", "softmax")
+    def test_injected_softmax_fault_caught(self, capsys, monkeypatch):
+        off_normalization(monkeypatch)
+        code, out, _ = run(capsys, "selftest")
         assert code == 2
-        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert failing and any("softmax" in l for l in failing)
+        assert "FAIL softmax-normalization" in out.splitlines()[0]
+
+    def test_fault_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--inject-fault", "softmax"])
+        assert exc.value.code == 2 and "--inject-fault" in capsys.readouterr().err
 
     def test_refuses_to_run_without_asserts(self):
         """Under python -O every check's assert is gone, so a broken build
         would pass: selftest exits 2 instead."""
         src = str(Path(fusedet.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "fusedet.cli", "selftest", "--inject-fault", "softmax"],
+            [sys.executable, "-O", "-m", "fusedet.cli", "selftest"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert done.returncode == 2 and "python -O" in done.stderr
 
 
 class TestGradcheck:
-    def test_all_stages_pass(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        code, out, _ = run(capsys, "gradcheck", "--seed", "0")
-        assert code == 0
-        for name in ("window-attention", "fusion", "aggregation-and-cosine-loss", "training-loss"):
-            assert f"PASS {name}" in out
-        assert list(tmp_path.iterdir()) == []  # the training case's dataset is removed
+    def test_all_stages_pass(self, capsys, monkeypatch):
+        """Every family, at each of its verified seeds, passes in memory:
+        no file is written."""
 
-    def test_every_audited_case_is_a_verified_row(self, tmp_path, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise AssertionError(f"gradcheck wrote {path}")
+
+        monkeypatch.setattr(fmp, "write_arrays", refuse)
+        for seed in ("0", "1", "2"):
+            code, out, _ = run(capsys, "gradcheck", "--seed", seed)
+            assert code == 0
+            for name in ("window-attention", "fusion", "aggregation-and-cosine-loss", "training-loss"):
+                assert f"PASS {name}" in out
+
+    def test_every_audited_case_is_a_verified_row(self, monkeypatch):
         # each stub builder returns its (family, seed) as the store, so an
         # inline case or an unlisted seed shows among what gradcheck builds
-        stubbed = tuple((n, lambda s, root, n=n: ((n, s), None), seeds) for n, _, seeds in audit.AUDIT_CASES)
+        stubbed = tuple((n, lambda s, n=n: ((n, s), None), seeds) for n, _, seeds in audit.AUDIT_CASES)
         monkeypatch.setattr(audit, "AUDIT_CASES", stubbed)
         rows = {(name, s) for name, _, seeds in stubbed for s in seeds}
-        built = [(name, store) for seed in range(600) for name, store, _ in audit.gradcheck_cases(seed, tmp_path)]
+        built = [(name, store) for seed in range(600) for name, store, _ in audit.gradcheck_cases(seed)]
         assert len(built) == 600 * len(stubbed)
         assert all(store in rows and store[0] == name for name, store in built)
         assert {store for _, store in built} == rows

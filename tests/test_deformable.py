@@ -120,6 +120,13 @@ class TestReferenceGrid:
     def test_bit_identical_regeneration(self):
         assert np.array_equal(reference_grid(6, 6, 3), reference_grid(6, 6, 3))
 
+    def test_cached_grid_refuses_writes(self):
+        grid = reference_grid(4, 4, 2)
+        before = grid.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.5
+        assert np.array_equal(reference_grid(4, 4, 2), before)
+
     def test_divisibility_enforced(self):
         with pytest.raises(PreconditionError):
             reference_grid(5, 4, 2)

@@ -401,6 +401,13 @@ class TestNap50:
         with pytest.raises(PreconditionError):
             nap50([], [], [])
 
+    def test_repeated_novel_id_rejected(self):
+        """A repeated id would weight its class twice in the mean."""
+        gts = [gt((0, 0, 2, 2), class_id=1), gt((0, 0, 2, 2), class_id=2, image_id="b")]
+        dets = [det(0.9, (0, 0, 2, 2), class_id=1)]
+        with pytest.raises(PreconditionError, match=r"more than once: \[1, 2\]"):
+            nap50(dets, gts, [2, 1, 1, 2, 3])
+
 
 class TestInterchangeFiles:
     def test_detection_round_trip(self, tmp_path):

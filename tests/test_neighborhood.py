@@ -68,6 +68,15 @@ class TestNeighborhood:
                 want = [a * 4 + b for a, b in neighborhood(i, j, 3, 4, 3)]
                 assert list(t[i * 4 + j]) == want
 
+    def test_cached_table_refuses_writes(self):
+        """The table is shared by every caller and keys the cached scatter,
+        so a write into it would desynchronise gather and scatter."""
+        table = neighbor_table(4, 4, 3)
+        before = table.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 15
+        assert np.array_equal(neighbor_table(4, 4, 3), before)
+
 
 class TestNAForward:
     def test_k1_equals_value_projection(self):
@@ -215,8 +224,8 @@ class TestWindowAttention:
         assert all(same_bits(a, b) for a, b in zip(*results))
 
     @pytest.mark.parametrize("seed", dict((n, s) for n, _, s in audit.AUDIT_CASES)["window-attention"])
-    def test_audit_window_fixtures_equal_composed_graph(self, seed, tmp_path, monkeypatch):
-        store, build = audit.window_case(seed, tmp_path)
+    def test_audit_window_fixtures_equal_composed_graph(self, seed, monkeypatch):
+        store, build = audit.window_case(seed)
         results = []
         for forward in (na_forward, composed_na_forward):
             monkeypatch.setattr(audit, "na_forward", forward)

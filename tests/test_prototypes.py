@@ -504,7 +504,7 @@ class TestAggregationOps:
         """On the audit's aggregation fixtures, the loss, every parameter
         gradient and the gradient reaching each op input equal the composed
         graph's."""
-        store, build = audit.aggregation_case(seed, None)
+        store, build = audit.aggregation_case(seed)
         monkeypatch.setattr(audit, "cam_forward", functools.partial(cam_forward, gate_mode=gate_mode))
         results = []
         for composed in (False, True):

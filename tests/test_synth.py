@@ -11,6 +11,7 @@ from fusedet.synth import (
     ir_channel,
     render_pair,
     rgb_channel,
+    synthesize,
 )
 
 
@@ -102,6 +103,22 @@ class TestGenerateSynthetic:
         rgb, ir = reloaded.load_pair(reloaded.image_ids()[0])
         assert rgb.shape == (8, 12, 12)
         assert ir.shape == (8, 12, 12)
+
+    def test_synthesize_equals_what_is_written(self, tmp_path):
+        """The in-memory dataset is the one `generate_synthetic` writes: the
+        same entries, and pairs loaded before any file exists that equal the
+        files' maps in value, dtype and memory order."""
+        cfg = SynthConfig(classes=3, images=6, channels=8, height=10, width=6, max_objects=2)
+        root = tmp_path.resolve() / "d"
+        mem = synthesize(cfg, 11, "img", root)
+        pairs = {image_id: mem.load_pair(image_id) for image_id in mem.image_ids()}
+        generate_synthetic(root, cfg, seed=11, prefix="img")
+        disk = load_index(root / "index.txt")
+        assert mem.entries == disk.entries
+        for image_id in disk.image_ids():
+            for a, b in zip(pairs[image_id], disk.load_pair(image_id), strict=True):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+                assert a.flags.c_contiguous and b.flags.c_contiguous
 
     def test_every_class_appears(self, tmp_path):
         cfg = SynthConfig(classes=3, images=30, channels=8, height=12, width=12)

@@ -571,21 +571,6 @@ class TestInference:
         seen = [d.image_id for d in dets]
         assert seen and seen == sorted(seen)
 
-    def test_ablate_callback_changes_detections(self, tmp_path):
-        index, split, cfg, supports = tiny_setup(tmp_path)
-        cfg = cfg.with_updates(score_thr=0.0)  # untrained scores still detect
-        store = init_params(cfg, seed=0)
-        store.set_array("head.box_b", np.array([-1.0, -1.0, 1.0, 1.0]))  # widening prior
-        params = store.nodes()
-        protos = precompute_prototypes(index, supports, cfg, params)
-        ids = sorted(index.entries)[:2]
-        plain = detect_over(index, ids, protos, cfg, params)
-        noisy = detect_over(
-            index, ids, protos, cfg, params,
-            ablate=lambda rgb, ir: (rgb + 1.0, ir - 1.0),
-        )
-        assert plain and plain != noisy
-
     def test_ablate_thermal_zeroes_informative_half(self):
         rng = np.random.default_rng(0)
         rgb = rng.standard_normal((4, 3, 3))
