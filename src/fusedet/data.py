@@ -57,22 +57,36 @@ class DatasetIndex:
 
 def save_index(path, index: DatasetIndex) -> None:
     root = Path(path).resolve().parent
+    parents: dict[Path, Path] = {}
     with open(path, "w") as fh:
         fh.write("# image_id rgb_path ir_path [condition]\n")
         for entry in index.entries.values():
-            rgb = _relative(entry.rgb_path, root)
-            ir = _relative(entry.ir_path, root)
+            rgb = _relative(entry.rgb_path, root, parents)
+            ir = _relative(entry.ir_path, root, parents)
             tail = f" {entry.condition}" if entry.condition else ""
             fh.write(f"{entry.image_id} {rgb} {ir}{tail}\n")
             for g in entry.boxes:
                 fh.write(f"    box {g.class_id} {box_fields(g.box)}\n")
 
 
-def _relative(p: Path, root: Path) -> str:
+def _relative(p: Path, root: Path, parents: dict[Path, Path]) -> str:
+    """p relative to root once resolved, else p as given.  A path whose
+    last component is a plain name and not a symlink resolves to its
+    parent's resolved path plus that name, so `parents` caches the parents
+    resolved so far and each further path costs one lstat, not one per
+    component."""
+    p = Path(p)
+    if p.name in ("", "..") or p.is_symlink():
+        full = p.resolve()
+    else:
+        parent = parents.get(p.parent)
+        if parent is None:
+            parent = parents[p.parent] = p.parent.resolve()
+        full = parent / p.name
     try:
-        return Path(p).resolve().relative_to(root).as_posix()
+        return full.relative_to(root).as_posix()
     except ValueError:
-        return Path(p).as_posix()
+        return p.as_posix()
 
 
 def load_index(path) -> DatasetIndex:

@@ -136,7 +136,6 @@ def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, 
             f"map shapes differ: {f_res.value.shape}, "
             f"{f_query_src.value.shape}, {f_kv_src.value.shape}"
         )
-    nd = f_res.value.ndim
     d, h, w = f_res.value.shape[-3:]
     if d != cfg.channels:
         raise ShapeError(f"map has {d} channels, config says {cfg.channels}")
@@ -148,10 +147,7 @@ def cda_forward(f_res, f_query_src, f_kv_src, cfg: CDAConfig, params: dict[str, 
     vals = ops.matmul(params[f"{prefix}.wv"], sampled)
 
     qf = ops.map_to_tokens(ops.conv1x1(f_query_src, params[f"{prefix}.wq"]))
-    logits = ops.matmul(qf, keys) * (1.0 / np.sqrt(d))
-    attn = ops.softmax(logits, axis=-1)  # (..., HW, N)
-    vals_t = vals.transpose((*range(nd - 3), nd - 2, nd - 3))  # (..., N, D)
-    mixed = ops.tokens_to_map(ops.matmul(attn, vals_t), h, w)
+    mixed = ops.tokens_to_map(ops.cross_attention(qf, keys, vals, 1.0 / np.sqrt(d)), h, w)
 
     inner = f_query_src + mixed
     hidden = ops.relu(ops.conv1x1(inner, params[f"{prefix}.ffn_w1"], params[f"{prefix}.ffn_b1"]))

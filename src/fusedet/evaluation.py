@@ -7,7 +7,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class Detection:
     image_id: str
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
+        if not isfinite(self.score):
             raise PreconditionError(f"non-finite score {self.score}")
 
 

@@ -13,12 +13,12 @@ Conventions, fixed once and relied on everywhere:
   inputs become constant leaves.
 
 Batches.  `matmul`, `conv1x1`, `depthwise_conv`, `layer_norm`,
-`bilinear_sample`, `take`, `window_attention`, `map_to_tokens`,
-`tokens_to_map` and the elementwise ops (`relu`, `tanh`, `gelu`, ...)
-also take leading batch axes: maps (B, D, H, W), tokens (B, H*W, D),
-coordinates (B, 2, N), one sample per batch element.  `softmax` and
-`log_softmax` work on any axis; batched callers name it from the end
-(axis=-1).  Weights stay unbatched and shared.  A 3-D map is the same op
+`bilinear_sample`, `take`, `window_attention`, `cross_attention`,
+`map_to_tokens`, `tokens_to_map` and the elementwise ops (`relu`,
+`tanh`, `gelu`, ...) also take leading batch axes: maps (B, D, H, W),
+tokens (B, H*W, D), coordinates (B, 2, N), one sample per batch
+element.  `softmax` and `log_softmax` work on any axis; batched callers
+name it from the end (axis=-1).  Weights stay unbatched and shared.  A 3-D map is the same op
 with no batch axis, not a batch of one.
 
 Each batch element's value and input gradient are computed by the same
@@ -203,11 +203,11 @@ def gelu(x) -> Node:
     return Node(xv * cdf, (x,), lambda g: (g * (cdf + xv * pdf),))
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Max-subtracted softmax along one axis, computed in one buffer: the
-    exponent and the division overwrite the shifted copy, which keeps its
-    layout."""
-    s = x - x.max(axis=axis, keepdims=True)
+    exponent and the division overwrite the shifted copy, which keeps x's
+    layout, or `out` (x itself allowed) when given."""
+    s = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(s, out=s)
     s /= s.sum(axis=axis, keepdims=True)
     return s
@@ -347,6 +347,48 @@ def window_attention(q, k, v, table: np.ndarray, scale: float) -> Node:
         )
 
     return Node((ar * vn).sum(axis=-2), (q, k, v), vjp)
+
+
+def cross_attention(q, keys, vals, scale: float) -> Node:
+    """Dense attention of (..., HW, D) queries over N key/value columns:
+    softmax_rows(q @ keys * scale) @ vals^T, with keys and vals
+    (..., D, N) -> (..., HW, D).  An operand with leading batch axes must
+    carry all of them; the others may be shared and unbatched.
+
+    One Node for the logits, the softmax and the value mix; the scaling,
+    max-subtract, exponent and division overwrite the logits' buffer in
+    turn.  Its VJP returns the q, keys and vals gradients from one pass,
+    making the numpy calls that `matmul`, `*`, `softmax`,
+    `Node.transpose` and `matmul` composed into the same graph would, on
+    the same shapes and layouts, so value and gradients are equal to that
+    graph's bit for bit.  The parent order (q, keys, vals) keeps that
+    graph's order of accumulation: a map projected to both keys and vals
+    receives the vals, then the keys gradient.
+    """
+    q, keys, vals = as_node(q), as_node(keys), as_node(vals)
+    qv, kv, vv = q.value, keys.value, vals.value
+    lead = max((a.shape[:-2] for a in (qv, kv, vv)), key=len)
+    if (
+        min(qv.ndim, kv.ndim, vv.ndim) < 2
+        or qv.shape[-1] != kv.shape[-2]
+        or kv.shape[-1] != vv.shape[-1]
+        or any(a.ndim > 2 and a.shape[:-2] != lead for a in (qv, kv, vv))
+    ):
+        raise ShapeError(f"cross_attention: q {qv.shape}, keys {kv.shape}, vals {vv.shape}")
+    vals_t = np.swapaxes(vv, -1, -2)
+    attn = qv @ kv
+    attn *= scale
+    _softmax(attn, -1, out=attn)
+
+    def vjp(g: np.ndarray) -> tuple:
+        g_logits = _softmax_vjp(attn, _sum_batch(g @ vv, attn.ndim), -1) * scale
+        return (
+            _sum_batch(g_logits @ np.swapaxes(kv, -1, -2), qv.ndim),
+            _sum_batch(np.swapaxes(qv, -1, -2) @ g_logits, kv.ndim),
+            np.swapaxes(_sum_batch(np.swapaxes(attn, -1, -2) @ g, vals_t.ndim), -1, -2),
+        )
+
+    return Node(attn @ vals_t, (q, keys, vals), vjp)
 
 
 def _slot_attention(queries: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import ops
 from .autodiff import Node, ParamStore, as_node, backward, no_grad
 from .data import DatasetIndex, Episode, SplitSpec, SupportSet, sample_episode
 from .errors import DivergenceError, NumericGuardError, PreconditionError
-from .evaluation import Box, Detection, GroundTruth, iou_row
+from .evaluation import Box, Detection, GroundTruth
 from .model import ModelConfig, init_params, query_features
 from .prototypes import (
     PrototypeSet,
@@ -188,8 +188,20 @@ def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, thr: float = 
     the block's IoU matrix a candidate is kept when every block member
     kept before it clears it; then the later candidates that one of the
     block's kept boxes does not clear are dropped at once.  The IoUs are
-    those of a box-by-box walk, kept box first, so the kept set is too.
+    those of a box-by-box walk, kept box first (`iou_row`'s formula, on
+    coordinates and areas taken once per call), so the kept set is too.
     """
+    x1, y1, x2, y2 = (np.ascontiguousarray(boxes[:, c]) for c in range(4))
+    areas = (x2 - x1) * (y2 - y1)
+
+    def clear(kept: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """(len(kept), len(others)) flags: IoU below thr (NaN is not)."""
+        k = kept[:, None]
+        ix = np.minimum(x2[k], x2[others]) - np.maximum(x1[k], x1[others])
+        iy = np.minimum(y2[k], y2[others]) - np.maximum(y1[k], y1[others])
+        inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+        return inter / (areas[k] + areas[others] - inter) < thr
+
     rank = np.argsort(-scores, kind="stable")
     ranked_labels = labels[rank]
     keep = np.zeros(len(scores), dtype=bool)
@@ -197,15 +209,15 @@ def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, thr: float = 
         rest = rank[ranked_labels == label]
         while rest.size:
             block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
-            clear = (iou_row(boxes[block], boxes[block]) < thr).tolist()
+            pairs = clear(block, block).tolist()
             rows = []
             for i in range(len(block)):
-                if all(clear[k][i] for k in rows):
+                if all(pairs[k][i] for k in rows):
                     rows.append(i)
             kept = block[rows]
             keep[kept] = True
             if rest.size:
-                rest = rest[(iou_row(boxes[kept], boxes[rest]) < thr).all(axis=0)]
+                rest = rest[clear(kept, rest).all(axis=0)]
     return rank[keep[rank]]
 
 

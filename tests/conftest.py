@@ -95,11 +95,12 @@ def batch_check():
     return assert_batch_matches_elements
 
 
-# The composed bodies of `ops.aggregate` and `ops.cosine_cross_entropy`,
-# the graphs of matmul, transpose, softmax, product, sum, relu and
-# log_softmax nodes that `prototypes.cam_forward` and `cosine_ce_loss`
-# built before the two ops, kept as the oracles the ops are held to bit
-# for bit.  Patched into `ops`, they give those functions' old graphs.
+# The composed bodies of `ops.aggregate`, `ops.cosine_cross_entropy` and
+# `ops.cross_attention`, the graphs of matmul, transpose, softmax,
+# product, sum, relu and log_softmax nodes that `prototypes.cam_forward`,
+# `cosine_ce_loss` and `deformable.cda_forward` built before the three
+# ops, kept as the oracles the ops are held to bit for bit.  Patched into
+# `ops`, they give those functions' old graphs.
 def composed_aggregate(x, keys, gate, w, enc, w1, b1, w2, b2, scale, filter_gate=True):
     x = as_node(x)
     _, h, wd = x.value.shape
@@ -125,10 +126,26 @@ def composed_cosine_cross_entropy(unit_rows, weights, labels, alpha):
     return (ops.log_softmax(logits, axis=1) * picked).sum() * (-1.0 / c)
 
 
+def composed_cross_attention(q, keys, vals, scale):
+    vals = as_node(vals)
+    n = vals.value.ndim
+    logits = ops.matmul(q, keys) * scale
+    attn = ops.softmax(logits, axis=-1)  # (..., HW, N)
+    vals_t = vals.transpose((*range(n - 2), n - 1, n - 2))  # (..., N, D)
+    return ops.matmul(attn, vals_t)
+
+
+COMPOSED_OPS = {
+    "aggregate": composed_aggregate,
+    "cosine_cross_entropy": composed_cosine_cross_entropy,
+    "cross_attention": composed_cross_attention,
+}
+
+
 def run_recording_op_inputs(monkeypatch, composed: bool, run):
-    """run() with `ops.aggregate` and `ops.cosine_cross_entropy`, or with
-    their composed oracles: run()'s result and the Node arguments of every
-    call of the two, in call order."""
+    """run() with the ops of `COMPOSED_OPS`, or with their composed
+    oracles: run()'s result and the Node arguments of every call of those
+    ops, in call order."""
     inputs = []
 
     def recording(op):
@@ -139,7 +156,7 @@ def run_recording_op_inputs(monkeypatch, composed: bool, run):
         return call
 
     with monkeypatch.context() as m:
-        for name, oracle in (("aggregate", composed_aggregate), ("cosine_cross_entropy", composed_cosine_cross_entropy)):
+        for name, oracle in COMPOSED_OPS.items():
             m.setattr(ops, name, recording(oracle if composed else getattr(ops, name)))
         return run(), inputs
 

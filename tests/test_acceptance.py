@@ -293,8 +293,8 @@ def test_criterion_08_determinism(tmp_path, capsys):
 # 8x8 pairs, and a 32x32 inference as on `detect-dense`).  Unlike times
 # they do not depend on the host; a change that moves them states the old
 # and new figures.
-GRAPH_COUNTS = {"train_step": (170, 77), "infer": (113, 67)}
-BENCH_GRAPH_COUNTS = {"train_step": (178, 77), "infer_32x32": (113, 67)}
+GRAPH_COUNTS = {"train_step": (160, 73), "infer": (103, 63)}
+BENCH_GRAPH_COUNTS = {"train_step": (168, 73), "infer_32x32": (103, 63)}
 
 
 def graph_counts(monkeypatch, run) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fusedet import audit, data, deformable, evaluation, fmp, neighborhood, ops, prototypes
-from fusedet.autodiff import Node, as_node, grad_check, no_grad
+from fusedet.autodiff import Node, ParamStore, as_node, grad_check, no_grad
 
 from conftest import off_normalization
 
@@ -40,8 +40,8 @@ def install_mutant(monkeypatch, op: str, slot: int) -> None:
 
 
 # (op, parent slot) -> (cheapest family that reaches it, one parameter whose
-# gradient flows through it).  Families by cost: window-attention,
-# aggregation-and-cosine-loss, fusion, training-loss.
+# gradient flows through it).  Families by cost: softmax-row,
+# window-attention, aggregation-and-cosine-loss, fusion, training-loss.
 MUTANTS = {
     ("matmul", 0): ("aggregation-and-cosine-loss", "protos"),
     ("matmul", 1): ("aggregation-and-cosine-loss", "cam.w"),
@@ -57,7 +57,7 @@ MUTANTS = {
     ("sigmoid", 0): ("aggregation-and-cosine-loss", "protos"),
     ("tanh", 0): ("fusion", "cda_rgb.off_b"),
     ("gelu", 0): ("fusion", "cda_rgb.ln_g"),
-    ("softmax", 0): ("fusion", "cda_rgb.wq"),
+    ("softmax", 0): ("softmax-row", "x"),
     ("log_softmax", 0): ("training-loss", "head.obj_b"),
     ("sqrt", 0): ("aggregation-and-cosine-loss", "protos"),
     ("absolute", 0): ("training-loss", "head.box_b"),
@@ -65,6 +65,9 @@ MUTANTS = {
     ("window_attention", 0): ("window-attention", "na.wq"),
     ("window_attention", 1): ("window-attention", "na.wk"),
     ("window_attention", 2): ("window-attention", "na.wv"),
+    ("cross_attention", 0): ("fusion", "cda_rgb.wq"),
+    ("cross_attention", 1): ("fusion", "cda_rgb.wk"),
+    ("cross_attention", 2): ("fusion", "cda_rgb.wv"),
     ("aggregate", 0): ("training-loss", "na_rgb.wq"),
     ("aggregate", 1): ("aggregation-and-cosine-loss", "cam.w"),
     ("aggregate", 2): ("aggregation-and-cosine-loss", "protos"),
@@ -108,10 +111,23 @@ UNSEEN = {
 SOFTMAX_ROW = {("softmax", 0), ("Node.__mul__", 0), ("Node.sum", 0)}
 
 
+def softmax_row_case():
+    """The softmax row's gradient check as a family: since deformable
+    attention runs `ops.cross_attention`, no audit family calls
+    `ops.softmax`, and this check is the one that sees its VJP."""
+    rng = np.random.default_rng(3)
+    store = ParamStore()
+    store.add("x", rng.standard_normal((6, 5)))
+    probe = rng.standard_normal((6, 5))
+    return store, lambda p: (ops.softmax(p["x"], axis=1) * probe).sum()
+
+
 @pytest.fixture(scope="module")
 def families():
-    """(store, build) of each gradient family at its first verified seed."""
-    return {name: case(seeds[0]) for name, case, seeds in audit.AUDIT_CASES}
+    """(store, build) of each gradient family at its first verified seed,
+    and of the softmax row."""
+    cases = {name: case(seeds[0]) for name, case, seeds in audit.AUDIT_CASES}
+    return {"softmax-row": softmax_row_case(), **cases}
 
 
 def failing(results) -> list[str]:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusedet import fmp
+from fusedet import data, fmp
 from fusedet.data import (
     DatasetIndex,
     IndexEntry,
@@ -115,6 +115,90 @@ class TestIndexFiles:
         path.write_text("img000 img000_rgb.fmp img000_ir.fmp\n")
         with pytest.raises(FileNotFoundError):
             load_index(path)
+
+
+def resolving_relative(p, root, *_):
+    """`_relative` as it was: every path resolved component by component."""
+    try:
+        return Path(p).resolve().relative_to(root).as_posix()
+    except ValueError:
+        return Path(p).as_posix()
+
+
+def index_layouts(tmp: Path) -> dict[str, tuple[Path, DatasetIndex]]:
+    """(index file, index) per layout, with maps written under tmp."""
+    layouts = {}
+    plain = tmp / "plain"
+    plain.mkdir()
+    index = toy_index([[0], [1]], root=plain)
+    entry = index.entries["img001"]
+    entry.rgb_path = plain / "sub" / ".." / entry.rgb_path.name  # resolved through ..
+    layouts["plain-directory"] = (plain / "index.txt", index)
+
+    linked = tmp / "linked"
+    linked.mkdir()
+    index = toy_index([[0], [1]], root=linked)
+    store = tmp / "store"
+    store.mkdir()
+    outside, inside = store / "target.fmp", linked / "target.fmp"
+    for target in (outside, inside):
+        fmp.write_map(target, np.zeros((2, 4, 4)))
+    for entry, target in zip(index.entries.values(), (outside, inside)):
+        entry.rgb_path.unlink()
+        entry.rgb_path.symlink_to(target)
+    layouts["symlinked-map-file"] = (linked / "index.txt", index)
+
+    real = tmp / "real"
+    real.mkdir()
+    (tmp / "alias").symlink_to(real, target_is_directory=True)
+    index = toy_index([[0], [1]], root=tmp / "alias")
+    layouts["root-through-symlinked-directory"] = (tmp / "alias" / "index.txt", index)
+
+    far = tmp / "far"
+    far.mkdir()
+    index = toy_index([[0], [1]], root=far)
+    entry = index.entries["img000"]
+    entry.ir_path = Path("far") / entry.ir_path.name  # relative to the working directory
+    (tmp / "near").mkdir()
+    layouts["path-outside-the-root"] = (tmp / "near" / "index.txt", index)
+    return layouts
+
+
+class TestSaveIndexPaths:
+    """save_index resolves each distinct parent directory once and writes
+    the bytes that resolving every map path in full wrote."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["plain-directory", "symlinked-map-file", "root-through-symlinked-directory", "path-outside-the-root"],
+    )
+    def test_bytes_equal_full_resolution(self, layout, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path, index = index_layouts(tmp_path)[layout]
+        save_index(path, index)
+        got = path.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(data, "_relative", resolving_relative)
+            save_index(path, index)
+        assert got == path.read_bytes()
+
+    def test_written_paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        layouts = index_layouts(tmp_path)
+        written = {}
+        for name, (path, index) in layouts.items():
+            save_index(path, index)
+            written[name] = [line.split()[1:3] for line in path.read_text().splitlines()[1:] if line[0] != " "]
+        assert written["plain-directory"] == [["img000_rgb.fmp", "img000_ir.fmp"], ["img001_rgb.fmp", "img001_ir.fmp"]]
+        assert written["symlinked-map-file"] == [
+            [(tmp_path / "linked" / "img000_rgb.fmp").as_posix(), "img000_ir.fmp"],
+            ["target.fmp", "img001_ir.fmp"],
+        ]
+        assert written["root-through-symlinked-directory"] == written["plain-directory"]
+        assert written["path-outside-the-root"] == [
+            [(tmp_path / "far" / "img000_rgb.fmp").as_posix(), "far/img000_ir.fmp"],
+            [(tmp_path / "far" / "img001_rgb.fmp").as_posix(), (tmp_path / "far" / "img001_ir.fmp").as_posix()],
+        ]
 
 
 class TestSplitSpec:

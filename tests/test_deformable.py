@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from fusedet import audit
 from fusedet.audit import na_oracle
-from fusedet.autodiff import ParamStore, grad_check
+from fusedet.autodiff import Node, ParamStore, backward, grad_check
 from fusedet.deformable import (
     CDAConfig,
     FusionConfig,
@@ -20,6 +21,8 @@ from fusedet.deformable import (
 from fusedet.errors import PreconditionError, ShapeError
 from fusedet.neighborhood import NAConfig, init_na_params
 from fusedet.ops import pixel_coords
+
+from conftest import run_recording_op_inputs, same_bits
 
 
 def bilinear_oracle(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -428,3 +431,44 @@ class TestFusionForward:
         probe = rng.standard_normal((d, 4, 4))
         err = grad_check(lambda p: (fusion_forward(f_rgb, f_ir, cfg, p) * probe).sum(), store)
         assert err <= 1e-6
+
+
+class TestCrossAttentionInFusion:
+    """fusion_forward with ops.cross_attention gives the map, every
+    parameter gradient and the gradient reaching each op input of the
+    composed graph, bit for bit and in the same memory order."""
+
+    @staticmethod
+    def losses_equal(monkeypatch, keys, run) -> None:
+        results = []
+        for composed in (False, True):
+            (loss, params), inputs = run_recording_op_inputs(monkeypatch, composed, run)
+            backward(loss)
+            results.append([loss.value, *(params[k].grad for k in keys), *(n.grad for n in inputs)])
+        assert len(results[0]) == len(results[1]) == 1 + len(keys) + 6  # two calls, three inputs each
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["pair", "batch"])
+    def test_fusion_forward_equals_composed_graph(self, lead, monkeypatch):
+        d = 8
+        cfg = FusionConfig(na=NAConfig(k=3, channels=d), cda=CDAConfig(r=2, s=0.5, k_off=3, channels=d))
+        arrays = TestBatchedFuse.live_store(cfg, "cda")
+        rng = np.random.default_rng(11)
+        rgb, ir = 2.0 * rng.standard_normal((2, *lead, d, 8, 8))
+        probe = rng.standard_normal((*lead, d, 8, 8))
+
+        def run():
+            params = {k: Node(a) for k, a in arrays.items()}
+            return (fusion_forward(rgb, ir, cfg, params) * probe).sum(), params
+
+        self.losses_equal(monkeypatch, list(arrays), run)
+
+    @pytest.mark.parametrize("seed", dict((n, s) for n, _, s in audit.AUDIT_CASES)["fusion"])
+    def test_audit_fixture_equals_composed_graph(self, seed, monkeypatch):
+        store, build = audit.fusion_case(seed)
+
+        def run():
+            params = store.nodes()
+            return build(params), params
+
+        self.losses_equal(monkeypatch, store.keys(), run)

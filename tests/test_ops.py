@@ -3,9 +3,11 @@ import pytest
 from scipy.special import erf
 
 from fusedet import ops
-from fusedet.autodiff import ParamStore, as_node, backward, grad_check
+from fusedet.autodiff import Node, ParamStore, as_node, backward, grad_check, no_grad
 from fusedet.deformable import normalize_coords
 from fusedet.errors import PreconditionError, ShapeError
+
+from conftest import composed_cross_attention, same_bits
 
 
 def project_and_check(build, store, tol=1e-6):
@@ -196,6 +198,69 @@ class TestSoftmax:
         assert np.array_equal(x, before)
 
 
+class TestCrossAttention:
+    """ops.cross_attention gives the value and every input gradient of its
+    composed graph bit for bit, in the same memory order, at the fusion's
+    train (8x8 map, 16 samples) and dense (32x32, 256) geometries."""
+
+    @staticmethod
+    def core(op, leaves, h):
+        """The attention core as `cda_forward` runs it: tokens of a map
+        in, a map out, so q and the incoming gradient have its layouts."""
+        m, keys, vals = leaves
+        return ops.tokens_to_map(op(ops.map_to_tokens(m), keys, vals, 1.0 / np.sqrt(8)), h, h)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("h, n", [(8, 16), (32, 256)], ids=["64x16", "1024x256"])
+    def test_equals_composed_graph(self, lead, h, n):
+        rng = np.random.default_rng(h + len(lead))
+        arrays = [2.0 * rng.standard_normal((*lead, 8, h, h)), *rng.standard_normal((2, *lead, 8, n))]
+        probe = rng.standard_normal((*lead, 8, h, h))
+        results = []
+        for op in (ops.cross_attention, composed_cross_attention):
+            leaves = [Node(a) for a in arrays]
+            out = self.core(op, leaves, h)
+            backward((out * probe).sum())
+            results.append([out.value, *(leaf.grad for leaf in leaves)])
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("h, n", [(8, 16), (32, 256)], ids=["64x16", "1024x256"])
+    def test_value_only_equals_composed_graph(self, lead, h, n):
+        rng = np.random.default_rng(h + len(lead))
+        arrays = [2.0 * rng.standard_normal((*lead, 8, h, h)), *rng.standard_normal((2, *lead, 8, n))]
+        recorded = self.core(ops.cross_attention, arrays, h)
+        with no_grad():
+            values = [self.core(op, arrays, h) for op in (ops.cross_attention, composed_cross_attention)]
+        assert not values[0]._parents
+        assert same_bits(values[0].value, values[1].value)
+        assert same_bits(recorded.value, values[1].value)
+
+    def test_rows_are_a_softmax_mix_of_the_values(self):
+        rng = np.random.default_rng(14)
+        q, keys, vals = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+        logits = q @ keys * 0.5
+        attn = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert np.allclose(ops.cross_attention(q, keys, vals, 0.5).value, attn @ vals.T, rtol=0, atol=1e-14)
+
+    def test_grad(self):
+        rng = np.random.default_rng(15)
+        store = ParamStore()
+        for name, shape in (("q", (6, 3)), ("k", (3, 4)), ("v", (2, 4))):
+            store.add(name, rng.standard_normal(shape))
+        probe = rng.standard_normal((6, 2))
+        project_and_check(lambda p: (ops.cross_attention(p["q"], p["k"], p["v"], 0.7) * probe).sum(), store)
+
+    @pytest.mark.parametrize(
+        "q, keys, vals",
+        [((6, 3), (4, 5), (2, 5)), ((6, 3), (3, 5), (2, 4)), ((2, 6, 3), (3, 3, 5), (2, 5)), ((3,), (3, 5), (2, 5))],
+        ids=["q-keys", "keys-vals", "batches", "vector-q"],
+    )
+    def test_rejects_mismatched_shapes(self, q, keys, vals):
+        with pytest.raises(ShapeError, match="cross_attention"):
+            ops.cross_attention(np.ones(q), np.ones(keys), np.ones(vals), 1.0)
+
+
 class TestSqrtAbs:
     def test_values(self):
         assert np.allclose(ops.sqrt(np.array([4.0, 9.0])).value, [2.0, 3.0])
@@ -337,6 +402,16 @@ BATCH_CASES = {
     "softmax": (lambda x, p: ops.softmax(x, axis=-1), [_rand(23, B, 16, 9)], {}),
     "log_softmax": (lambda x, p: ops.log_softmax(x, axis=-1), [_rand(24, B, 16, 9)], {}),
     "take": (lambda x, p: ops.take(x, TABLE), [_rand(25, B, 16, 4)], {}),
+    "cross_attention": (
+        lambda q, k, v, p: ops.cross_attention(q, k, v, 0.5),
+        [_rand(35, B, 16, 4), _rand(36, B, 4, 9), _rand(37, B, 4, 9)],
+        {},
+    ),
+    "cross_attention-shared-keys-vals": (
+        lambda q, p: ops.cross_attention(q, p["k"], p["v"], 0.5),
+        [_rand(38, B, 16, 4)],
+        {"k": _rand(39, 4, 9), "v": _rand(40, 4, 9)},
+    ),
     # tokens gathered from a map: a column-ordered token view, as in na_forward
     "take-of-map-tokens": (lambda x, p: ops.take(ops.map_to_tokens(x), TABLE), [_rand(26, B, 4, 4, 4)], {}),
     "map_to_tokens": (lambda x, p: ops.map_to_tokens(x), [_rand(27, B, 4, 5, 6)], {}),

@@ -4,11 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fusedet import fmp, ops, prototypes, training
+from fusedet import audit, fmp, ops, prototypes, training
 from fusedet.autodiff import as_node, backward
 from fusedet.data import Episode, SplitSpec, SupportSet, build_supports, sample_episode
 from fusedet.errors import DivergenceError, NumericGuardError, PreconditionError
-from fusedet.evaluation import Box, Detection, GroundTruth
+from fusedet.evaluation import Box, Detection, GroundTruth, iou_row
 from fusedet.model import ModelConfig, init_params, query_features
 from fusedet.prototypes import (
     PrototypeSet,
@@ -352,6 +352,70 @@ class TestNms:
         kept = nms_dets(dets)
         assert_same_detections(kept, oracle_nms(dets))
         assert 3 * NMS_BLOCK < len(kept) < len(dets)
+
+
+def blockwise_nms(boxes, scores, labels, thr=0.5):
+    """The blockwise `nms` body that sliced each block's boxes and
+    recomputed their areas per `iou_row` call, kept as the oracle of the
+    one that takes coordinates and areas once per call."""
+    rank = np.argsort(-scores, kind="stable")
+    ranked_labels = labels[rank]
+    keep = np.zeros(len(scores), dtype=bool)
+    for label in np.unique(labels):
+        rest = rank[ranked_labels == label]
+        while rest.size:
+            block, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
+            clear = (iou_row(boxes[block], boxes[block]) < thr).tolist()
+            rows = []
+            for i in range(len(block)):
+                if all(clear[k][i] for k in rows):
+                    rows.append(i)
+            kept = block[rows]
+            keep[kept] = True
+            if rest.size:
+                rest = rest[(iou_row(boxes[kept], boxes[rest]) < thr).all(axis=0)]
+    return rank[keep[rank]]
+
+
+class TestNmsAgainstBlockwiseOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_head_candidates(self, seed, monkeypatch):
+        # the candidates toy_head hands nms on a 32x32 pair at score_thr 0,
+        # at the dense benchmark's model geometry
+        cfg = ModelConfig(**{**TINY_MODEL, "channels": 8, "classes_total": 3, "t_max": 3}, score_thr=0.0)
+        rng = np.random.default_rng(seed)
+        store = init_params(cfg, seed=seed)
+        store.set_array("head.box_w", 0.5 * rng.standard_normal(store.array("head.box_w").shape))
+        store.set_array("head.box_b", np.array([-1.5, -1.5, 1.5, 1.5]))
+        t = rng.standard_normal((3, 8))
+        calls = []
+        monkeypatch.setattr(training, "nms", lambda *args: calls.append(args) or nms(*args))
+        infer(*2.0 * rng.standard_normal((2, 8, 32, 32)), PrototypeSet(t.copy(), t, (2, 0, 1)), cfg, store.nodes())
+        (boxes, scores, labels, thr), = calls
+        kept = nms(boxes, scores, labels, thr)
+        assert 3 * NMS_BLOCK < len(kept) < len(scores) <= 3 * 32 * 32
+        assert np.array_equal(kept, blockwise_nms(boxes, scores, labels, thr))
+
+    @pytest.mark.parametrize("thr", [0.3, 0.5])
+    def test_random_boxes_with_ties_and_zero_areas(self, thr):
+        # half-unit grid boxes, some of zero width or height (IoU 0/0 =
+        # NaN between two of them), scores from a few values, four labels
+        rng = np.random.default_rng(int(10 * thr))
+        for _ in range(40):
+            n = int(rng.integers(0, 3 * NMS_BLOCK))
+            x1, y1 = rng.integers(0, 8, size=(2, n)) * 0.5
+            w, h = rng.integers(0, 5, size=(2, n)) * 0.5
+            boxes = np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+            scores = rng.choice([0.1, 0.5, 0.9], size=n)
+            labels = rng.integers(0, 4, size=n)
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(nms(boxes, scores, labels, thr), blockwise_nms(boxes, scores, labels, thr))
+
+    def test_nan_iou_suppresses(self):
+        boxes = np.array([[1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 2.0]])
+        with np.errstate(invalid="ignore"):
+            kept = nms(boxes, np.array([0.5, 0.9, 0.9]), np.array([0, 0, 1]), 0.5)
+        assert kept.tolist() == [1, 2]
 
 
 class TestToyHead:
@@ -944,10 +1008,11 @@ class TestAggregationOpsInTraining:
     @pytest.mark.parametrize("gate_mode", ["filter", "matrix"])
     @pytest.mark.parametrize("kind", ["finetune", "crowded"])
     def test_train_step_equals_composed_graph(self, kind, gate_mode, batch_setup, monkeypatch):
-        """A seeded train_loss step with ops.aggregate and
-        ops.cosine_cross_entropy gives the loss, every parameter gradient
-        and the gradient reaching each op input of the composed graphs,
-        bit for bit and in the same memory order."""
+        """A seeded train_loss step with ops.aggregate,
+        ops.cosine_cross_entropy and ops.cross_attention gives the loss,
+        every parameter gradient and the gradient reaching each op input
+        of the composed graphs, bit for bit and in the same memory
+        order."""
         index, supports, store = batch_setup
         episode = batch_episode(index, supports, kind)
         cfg = BATCH_MODEL.with_updates(gate_mode=gate_mode)
@@ -959,7 +1024,22 @@ class TestAggregationOpsInTraining:
             )
             backward(loss)
             results.append([loss.value, *(params[k].grad for k in store.keys()), *(n.grad for n in inputs)])
-        assert len(results[0]) == len(results[1]) == 1 + len(store.keys()) + 10
+        # aggregate and cosine_cross_entropy: 10 Node inputs; cross_attention: 2 x 3
+        assert len(results[0]) == len(results[1]) == 1 + len(store.keys()) + 16
+        assert all(a is None and b is None or same_bits(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("seed", dict((n, s) for n, _, s in audit.AUDIT_CASES)["training-loss"])
+    def test_audit_fixture_equals_composed_graph(self, seed, monkeypatch):
+        """The training-loss audit family's loss and gradients equal the
+        composed graphs' as well."""
+        store, build = audit.training_case(seed)
+        results = []
+        for composed in (False, True):
+            params = store.nodes()
+            loss, inputs = run_recording_op_inputs(monkeypatch, composed, lambda: build(params))
+            backward(loss)
+            results.append([loss.value, *(params[k].grad for k in store.keys()), *(n.grad for n in inputs)])
+        assert len(results[0]) == len(results[1]) == 1 + len(store.keys()) + 16
         assert all(a is None and b is None or same_bits(a, b) for a, b in zip(*results))
 
 
